@@ -24,7 +24,7 @@ from strandtrace.diagrams import (
     trace_to_symfun,
     trace_weighted,
 )
-from strandtrace.errors import GuardExceededError
+from strandtrace.errors import CertificateError, GuardExceededError
 from strandtrace.orders import (
     IncompGraph,
     StaircaseShape,

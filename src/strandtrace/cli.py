@@ -28,7 +28,7 @@ from strandtrace.diagrams import (
     search_general,
     trace_to_symfun,
 )
-from strandtrace.errors import GuardExceededError, NonTraceableError
+from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
 from strandtrace.kernels import restricted_census
 from strandtrace.orders import (
     StaircaseShape,
@@ -425,7 +425,7 @@ def main(argv=None):
         return args.func(args)
     except GuardExceededError as exc:
         return _fail_input(str(exc))
-    except NonTraceableError as exc:
+    except (CertificateError, NonTraceableError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return MATH_FAIL
     except ValueError as exc:

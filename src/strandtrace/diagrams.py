@@ -17,6 +17,7 @@ symmetric function.
 
 import os
 import random
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -24,7 +25,7 @@ from math import factorial
 from typing import NamedTuple
 
 from strandtrace import kernels, symfun
-from strandtrace.errors import GuardExceededError, NonTraceableError
+from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
 from strandtrace.oracle import cycle_type
 from strandtrace.symfun import SymFun, h, is_h_positive, p, to_basis
 
@@ -475,7 +476,7 @@ def _closed_form_table(n, k):
     Accumulates, for i = 2..n, the contribution (i-1) h_{n-i} at index
     k+i-1 and (k+i-n) h_{k+i-1} at index n-i, scaled by (n-2)!.  The
     negative contributions cancel exactly; each surviving slot is a
-    nonnegative multiple of a single h (asserted).
+    nonnegative multiple of a single h; CertificateError otherwise.
     """
     acc = {}
 
@@ -492,10 +493,11 @@ def _closed_form_table(n, k):
         if coeff.is_zero():
             continue
         terms = coeff.coefficients()
-        assert len(terms) == 1 and all(c >= 0 for c in terms.values()), (
-            "net closed-form coefficient is not a nonnegative h multiple: "
-            "n=%d k=%d b=%d -> %r" % (n, k, b, coeff)
-        )
+        if len(terms) != 1 or any(c < 0 for c in terms.values()):
+            raise CertificateError(
+                "net closed-form coefficient is not a nonnegative h multiple: "
+                "n=%d k=%d b=%d -> %r" % (n, k, b, coeff)
+            )
         table[b] = coeff
     return table
 
@@ -640,12 +642,18 @@ def _probe():
 
 
 def _start_pool(workers):
-    """Bring up a worker pool and prove it can run a task; None on failure."""
+    """Bring up a worker pool and prove it can run a task; on failure warn
+    and return None, so that the caller runs serially."""
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
         pool.submit(_probe).result(timeout=60)
         return pool
-    except Exception:  # pragma: no cover - sandbox dependent
+    except Exception as exc:
+        warnings.warn(
+            "could not start %d worker processes (%s: %s); running serially"
+            % (workers, type(exc).__name__, exc),
+            RuntimeWarning,
+        )
         return None
 
 

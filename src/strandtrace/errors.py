@@ -7,3 +7,8 @@ class GuardExceededError(Exception):
 
 class NonTraceableError(Exception):
     """Tracing this diagram would leave the staircase-like class."""
+
+
+class CertificateError(Exception):
+    """A closed-form coefficient that must be a nonnegative multiple of a
+    single h is not one, so no h-positivity certificate exists."""

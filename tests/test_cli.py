@@ -156,6 +156,20 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL newton i=1" in out
 
 
+def test_closed_form_certificate_survives_optimize():
+    """The nonnegativity certificate is not an assert: with a corrupted
+    factorial, `python -O` still refuses the closed form and exits 1."""
+    script = (
+        "import sys\n"
+        "from strandtrace import cli, diagrams\n"
+        "diagrams.factorial = lambda n: -1\n"
+        "sys.exit(cli.main(['verify', '--suite', 'closed-form', '--max-n', '3', '--max-k', '1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "not a nonnegative h multiple" in proc.stderr
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "--suite", "identities", "--max-n", "2", "--format", "json"]

@@ -17,6 +17,7 @@ from strandtrace import (
     colored_permutations,
     diagram_csf,
     diagram_from_lambda,
+    diagrams,
     enumerate_shapes,
     format_diagram,
     h,
@@ -387,6 +388,16 @@ def test_search_random_reproducible():
     assert [r.values for r in first] == [r.values for r in second]
     different = list(search_general(4, 3, mode="random", seed=100, count=12, threads=1))
     assert [r.diagram for r in first] != [r.diagram for r in different]
+
+
+def test_search_warns_when_the_pool_cannot_start(monkeypatch):
+    def refuse(max_workers):
+        raise OSError("no processes")
+
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
+    with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: no processes\)"):
+        fallback = list(search_general(3, 2, threads=2))
+    assert fallback == list(search_general(3, 2, threads=1))
 
 
 def test_search_guard():

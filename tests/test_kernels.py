@@ -1,13 +1,13 @@
-"""Backend equivalence: the compiled kernels must agree with the pure-Python
-fallback bit for bit."""
+"""The kernels against brute force written out here: the layer-by-layer
+coloring census against composing every choice of window bijections, the
+restricted-permutation census against all of S_n, and the proper-coloring
+count against all of [m]^n."""
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from strandtrace import _kernels_py, kernels
-
-HAVE_COMPILED = kernels.BACKEND == "compiled"
+from strandtrace import kernels
 
 CENSUS_CASES = [
     (1, []),
@@ -18,7 +18,12 @@ CENSUS_CASES = [
     (4, [(2, 3), (1, 2), (3, 4), (2, 3)]),
     (5, [(1, 2), (3, 5)]),
     (6, [(1, 4), (3, 6)]),
-    (11, [(1, 3), (9, 11)]),  # wide enough to exercise the dict path
+    (11, [(1, 3), (9, 11)]),
+    # stacked wide crossings: many colorings share a composite, so the
+    # layer-by-layer census merges states at every crossing
+    (6, [(1, 4), (3, 6), (1, 4)]),
+    (5, [(1, 5), (1, 5)]),
+    (5, [(1, 3), (2, 5), (1, 3), (3, 5)]),
 ]
 
 RESTRICTED_CASES = [
@@ -41,60 +46,97 @@ COLORING_CASES = [
 ]
 
 
-def test_python_census_hand_values():
-    assert _kernels_py.colored_census(3, []) == {(1, 2, 3): 1}
-    assert _kernels_py.colored_census(2, [(1, 2)]) == {(1, 2): 1, (2, 1): 1}
-    two = _kernels_py.colored_census(2, [(1, 2), (1, 2)])
-    assert two == {(1, 2): 2, (2, 1): 2}
+def census_reference(n, crossings):
+    """Compose every choice of one bijection per crossing."""
+    windows = [
+        [dict(zip(range(i, j + 1), sigma)) for sigma in permutations(range(i, j + 1))]
+        for i, j in crossings
+    ]
+    counts = {}
+    for choice in product(*windows):
+        comp = tuple(range(1, n + 1))
+        for move in choice:
+            comp = tuple(move.get(v, v) for v in comp)
+        counts[comp] = counts.get(comp, 0) + 1
+    return counts
 
 
-def test_python_restricted_against_itertools():
-    n, bounds = 5, [0, 0, 1, 3, 3]
-    expected = {}
+def cycle_type_reference(images):
+    left = set(range(1, len(images) + 1))
+    lengths = []
+    while left:
+        k, size = min(left), 0
+        while k in left:
+            left.remove(k)
+            k = images[k - 1]
+            size += 1
+        lengths.append(size)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def restricted_reference(n, bounds):
+    counts = {}
     for sigma in permutations(range(1, n + 1)):
         if all(sigma[k] > bounds[k] for k in range(n)):
-            ct = _kernels_py._cycle_type(sigma)
-            expected[ct] = expected.get(ct, 0) + 1
-    assert _kernels_py.restricted_census(n, bounds) == expected
+            ct = cycle_type_reference(sigma)
+            counts[ct] = counts.get(ct, 0) + 1
+    return counts
 
 
-def test_python_coloring_against_product():
-    from itertools import product
-
-    n, edges, m = 4, [(1, 2), (2, 3), (3, 4)], 3
-    expected = sum(
+def coloring_reference(n, edges, m):
+    return sum(
         1
         for colors in product(range(m), repeat=n)
         if all(colors[a - 1] != colors[b - 1] for a, b in edges)
     )
-    assert _kernels_py.count_colorings(n, edges, m) == expected
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
+def test_python_census_hand_values():
+    assert kernels.colored_census(3, []) == {(1, 2, 3): 1}
+    assert kernels.colored_census(2, [(1, 2)]) == {(1, 2): 1, (2, 1): 1}
+    two = kernels.colored_census(2, [(1, 2), (1, 2)])
+    assert two == {(1, 2): 2, (2, 1): 2}
+
+
 @pytest.mark.parametrize("n,crossings", CENSUS_CASES)
-def test_census_backends_agree(n, crossings):
-    assert kernels.colored_census(n, crossings) == _kernels_py.colored_census(n, crossings)
+def test_census_against_product(n, crossings):
+    assert kernels.colored_census(n, crossings) == census_reference(n, crossings)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-@pytest.mark.parametrize("n,bounds", RESTRICTED_CASES)
-def test_restricted_backends_agree(n, bounds):
-    assert kernels.restricted_census(n, bounds) == _kernels_py.restricted_census(n, bounds)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-@pytest.mark.parametrize("n,edges,m", COLORING_CASES)
-def test_coloring_backends_agree(n, edges, m):
-    assert kernels.count_colorings(n, edges, m) == _kernels_py.count_colorings(n, edges, m)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_census_backends_agree_exhaustively_on_small_diagrams():
-    from itertools import product as iproduct
-
+def test_census_against_product_exhaustively_on_small_diagrams():
     alphabet = [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
     for length in range(0, 3):
-        for crossings in iproduct(alphabet, repeat=length):
-            a = kernels.colored_census(4, list(crossings))
-            b = _kernels_py.colored_census(4, list(crossings))
-            assert a == b, crossings
+        for crossings in product(alphabet, repeat=length):
+            assert kernels.colored_census(4, list(crossings)) == census_reference(
+                4, crossings
+            ), crossings
+
+
+@pytest.mark.parametrize("n,bounds", RESTRICTED_CASES)
+def test_restricted_census_against_itertools(n, bounds):
+    assert kernels.restricted_census(n, bounds) == restricted_reference(n, bounds)
+
+
+def test_python_restricted_against_itertools():
+    """Every bounds vector with entries in 0..n, for n <= 4."""
+    for n in range(1, 5):
+        for bounds in product(range(n + 1), repeat=n):
+            assert kernels.restricted_census(n, bounds) == restricted_reference(
+                n, bounds
+            ), bounds
+
+
+@pytest.mark.parametrize("n,edges,m", COLORING_CASES)
+def test_count_colorings_against_product(n, edges, m):
+    assert kernels.count_colorings(n, edges, m) == coloring_reference(n, edges, m)
+
+
+def test_python_coloring_against_product():
+    """Every graph on four vertices, with one to three colors."""
+    pairs = list(combinations(range(1, 5), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+        for m in range(1, 4):
+            assert kernels.count_colorings(4, edges, m) == coloring_reference(
+                4, edges, m
+            ), (edges, m)
