@@ -14,6 +14,7 @@ equal inputs and seed; timing goes to stderr.
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import factorial
@@ -320,8 +321,15 @@ def cmd_classify(args):
 
 
 def cmd_search(args):
+    """Records go to stdout, or to a temporary file beside --out that
+    replaces it only once the sweep has finished, so a rejected or failed
+    sweep leaves an existing --out as it was."""
     started = time.perf_counter()
-    out = open(args.out, "w") if args.out else sys.stdout
+    if args.out:
+        partial = "%s.%d.partial" % (args.out, os.getpid())
+        out = open(partial, "w")
+    else:
+        out = sys.stdout
     total = 0
     negatives = []
     try:
@@ -346,9 +354,14 @@ def cmd_search(args):
                 }
                 negatives.append(payload)
             out.write(_jsonl(payload) + "\n")
-    finally:
+    except BaseException:
         if args.out:
             out.close()
+            os.remove(partial)
+        raise
+    if args.out:
+        out.close()
+        os.replace(partial, args.out)
     elapsed = time.perf_counter() - started
     sys.stderr.write("elapsed: %.3fs\n" % elapsed)
     summary = [

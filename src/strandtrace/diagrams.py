@@ -19,9 +19,10 @@ import os
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
+from types import MappingProxyType
 from typing import NamedTuple
 
 from strandtrace import kernels, symfun
@@ -172,7 +173,49 @@ class WeightedDiagram:
         return "WeightedDiagram(%r, weights=%s)" % (self.diagram, list(self.weights))
 
 
-class DiagramCombo:
+class _Combo:
+    """Formal sum of keys with symmetric-function coefficients, all in the
+    subclass's ``basis``.  The constructor takes a mapping or an iterable of
+    (key, coeff) pairs, with a number standing for that multiple of 1, and
+    merges terms on equal keys, dropping zeros."""
+
+    __slots__ = ("_table",)
+
+    @staticmethod
+    def _key(key):
+        return key
+
+    def __init__(self, terms=()):
+        table = {}
+        items = terms.items() if hasattr(terms, "items") else terms
+        for key, coeff in items:
+            if not isinstance(coeff, SymFun):
+                coeff = coeff * SymFun.one(self.basis)
+            coeff = to_basis(coeff, self.basis)
+            if coeff.is_zero():
+                continue
+            key = self._key(key)
+            if key in table:
+                merged = table[key] + coeff
+                if merged.is_zero():
+                    del table[key]
+                else:
+                    table[key] = merged
+            else:
+                table[key] = coeff
+        self._table = table
+
+    def __len__(self):
+        return len(self._table)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._table == other._table
+
+    def __repr__(self):
+        return "%s(%d terms)" % (type(self).__name__, len(self._table))
+
+
+class DiagramCombo(_Combo):
     """Formal sum of weighted diagrams with symmetric-function coefficients.
 
     Coefficients are normalized to the power-sum basis.  The zero-strand
@@ -180,38 +223,14 @@ class DiagramCombo:
     symmetric function.
     """
 
-    __slots__ = ("_table",)
-
-    def __init__(self, terms=()):
-        table = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for wd, coeff in items:
-            if isinstance(coeff, (int, Fraction)):
-                coeff = coeff * SymFun.one("p")
-            coeff = to_basis(coeff, "p")
-            if coeff.is_zero():
-                continue
-            if wd in table:
-                merged = table[wd] + coeff
-                if merged.is_zero():
-                    del table[wd]
-                else:
-                    table[wd] = merged
-            else:
-                table[wd] = coeff
-        self._table = table
+    __slots__ = ()
+    basis = "p"
 
     def terms(self):
         return sorted(self._table.items(), key=lambda kv: kv[0].sort_key())
 
     def coefficient(self, wd):
         return self._table.get(wd, SymFun.zero("p"))
-
-    def __len__(self):
-        return len(self._table)
-
-    def __eq__(self, other):
-        return isinstance(other, DiagramCombo) and self._table == other._table
 
     def is_scalar(self):
         return all(wd.strand_count == 0 for wd in self._table)
@@ -232,50 +251,27 @@ class DiagramCombo:
             ]
         }
 
-    def __repr__(self):
-        return "DiagramCombo(%d terms)" % len(self._table)
 
-
-class PartialCombo:
+class PartialCombo(_Combo):
     """Formal sum of partial-operator terms coeff * partial_b(diagram).
 
     Keys are (diagram, b); coefficients are normalized to the h basis so
     positivity of every intermediate step can be read off directly.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ()
+    basis = "h"
 
-    def __init__(self, terms=()):
-        table = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for (diagram, b), coeff in items:
-            if isinstance(coeff, (int, Fraction)):
-                coeff = coeff * SymFun.one("h")
-            coeff = to_basis(coeff, "h")
-            if coeff.is_zero():
-                continue
-            key = (diagram, int(b))
-            if key in table:
-                merged = table[key] + coeff
-                if merged.is_zero():
-                    del table[key]
-                else:
-                    table[key] = merged
-            else:
-                table[key] = coeff
-        self._table = table
+    @staticmethod
+    def _key(key):
+        diagram, b = key
+        return (diagram, int(b))
 
     def terms(self):
         return sorted(self._table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1]))
 
     def coefficient(self, diagram, b):
         return self._table.get((diagram, b), SymFun.zero("h"))
-
-    def __len__(self):
-        return len(self._table)
-
-    def __eq__(self, other):
-        return isinstance(other, PartialCombo) and self._table == other._table
 
     def is_h_nonnegative(self):
         return all(
@@ -295,7 +291,7 @@ class PartialCombo:
     def expand(self):
         """Rewrite each partial_b(D) as sum_j h_{b-j} * (D with j dots on the
         right-most strand), yielding a DiagramCombo."""
-        out = {}
+        terms = []
         for (diagram, b), coeff in self._table.items():
             if diagram.n == 0 and b > 0:
                 raise ValueError("partial_%d of a zero-strand diagram" % b)
@@ -303,10 +299,8 @@ class PartialCombo:
                 w = [0] * diagram.n
                 if j:
                     w[diagram.n - 1] = j
-                wd = WeightedDiagram(diagram, w)
-                extra = to_basis(coeff * h(b - j), "p")
-                out[wd] = out.get(wd, SymFun.zero("p")) + extra
-        return DiagramCombo(out)
+                terms.append((WeightedDiagram(diagram, w), coeff * h(b - j)))
+        return DiagramCombo(terms)
 
     def to_json_dict(self):
         return {
@@ -319,9 +313,6 @@ class PartialCombo:
                 for (diagram, b), c in self.terms()
             ]
         }
-
-    def __repr__(self):
-        return "PartialCombo(%d terms)" % len(self._table)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +353,13 @@ def diagram_csf(diagram, mode="distinct"):
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
     census = colored_permutations(diagram)
-    table = {}
-    for images, count in census.items():
-        lam = cycle_type(images)
-        weight = count if mode == "multiset" else 1
-        table[lam] = table.get(lam, 0) + weight
-    return SymFun("p", {lam: Fraction(c) for lam, c in table.items()})
+    return SymFun(
+        "p",
+        [
+            (cycle_type(images), count if mode == "multiset" else 1)
+            for images, count in census.items()
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +407,12 @@ def trace_weighted(wd):
 def trace_combo(combo):
     """Linear extension of trace_weighted; collapses to a SymFun once every
     diagram is fully traced."""
-    out = {}
+    terms = []
     for wd, coeff in combo.terms():
         if wd.strand_count == 0:
             raise ValueError("combo already fully traced")
-        for wd2, c2 in trace_weighted(wd).terms():
-            out[wd2] = out.get(wd2, SymFun.zero("p")) + coeff * c2
-    result = DiagramCombo(out)
+        terms.extend((wd2, coeff * c2) for wd2, c2 in trace_weighted(wd).terms())
+    result = DiagramCombo(terms)
     if result.is_scalar():
         return result.to_symfun()
     return result
@@ -470,6 +461,7 @@ def iterate_trace_partial(diagram, k, steps):
 SINGLE_STRAND = StrandDiagram(1)
 
 
+@lru_cache(maxsize=None)
 def _closed_form_table(n, k):
     """trace^{n-1}(partial_k [1,n]) as {b: h-basis coefficient of partial_b}.
 
@@ -477,6 +469,7 @@ def _closed_form_table(n, k):
     k+i-1 and (k+i-n) h_{k+i-1} at index n-i, scaled by (n-2)!.  The
     negative contributions cancel exactly; each surviving slot is a
     nonnegative multiple of a single h; CertificateError otherwise.
+    Memoized, so every caller shares one read-only table.
     """
     acc = {}
 
@@ -499,7 +492,7 @@ def _closed_form_table(n, k):
                 "n=%d k=%d b=%d -> %r" % (n, k, b, coeff)
             )
         table[b] = coeff
-    return table
+    return MappingProxyType(table)
 
 
 def closed_form_single_crossing(n, k, raw=False):
@@ -519,11 +512,10 @@ def closed_form_single_crossing(n, k, raw=False):
             {(SINGLE_STRAND, b): coeff for b, coeff in _closed_form_table(n, k).items()}
         )
     scale = factorial(n - 2)
-    out = {}
+    terms = []
 
     def add(dots, coeff):
-        wd = WeightedDiagram(SINGLE_STRAND, (dots,))
-        out[wd] = out.get(wd, SymFun.zero("p")) + to_basis(coeff, "p")
+        terms.append((WeightedDiagram(SINGLE_STRAND, (dots,)), coeff))
 
     for j in range(k + 1):
         hk = to_basis(h(k - j), "p")
@@ -532,7 +524,7 @@ def closed_form_single_crossing(n, k, raw=False):
         for i in range(1, n):
             for l in range(1, n - i + 1):
                 add(i - 1, scale * (hk * to_basis(h(n - l - i), "p") * p(l + j)))
-    return DiagramCombo(out)
+    return DiagramCombo(terms)
 
 
 # ---------------------------------------------------------------------------

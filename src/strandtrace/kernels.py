@@ -57,7 +57,7 @@ def restricted_census(n, bounds):
 
     def descend(idx):
         if idx == n:
-            ct = _cycle_type(images)
+            ct = cycle_type(images)
             counts[ct] = counts.get(ct, 0) + 1
             return
         k = order[idx]
@@ -72,7 +72,8 @@ def restricted_census(n, bounds):
     return counts
 
 
-def _cycle_type(images):
+def cycle_type(images):
+    """Descending cycle lengths of a permutation given as 1-based images."""
     n = len(images)
     seen = [False] * (n + 1)
     lengths = []

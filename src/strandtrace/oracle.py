@@ -5,8 +5,6 @@ enumeration: the restricted-permutation sum for the symmetric function of a
 shape, and plain proper-coloring counts for its incomparability graph.
 """
 
-from fractions import Fraction
-
 from strandtrace import kernels
 from strandtrace.errors import GuardExceededError
 from strandtrace.symfun import Partition, SymFun
@@ -20,19 +18,7 @@ def cycle_type(images):
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (images, n))
-    seen = [False] * (n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        size = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = images[cur - 1]
-            size += 1
-        lengths.append(size)
-    return Partition(lengths)
+    return Partition(kernels.cycle_type(images))
 
 
 def position_bounds(shape):
@@ -50,8 +36,7 @@ def ch_gamma(shape):
         raise GuardExceededError(
             "n=%d exceeds the S_n enumeration guard %d" % (n, FACTORIAL_GUARD)
         )
-    census = kernels.restricted_census(n, position_bounds(shape))
-    return SymFun("p", {Partition(ct): Fraction(count) for ct, count in census.items()})
+    return SymFun("p", kernels.restricted_census(n, position_bounds(shape)))
 
 
 def proper_coloring_count(graph, m):

@@ -2,9 +2,10 @@
 elementary bases.
 
 Everything is a finite Q-linear combination of basis elements indexed by
-integer partitions, with coefficients kept as exact ``fractions.Fraction``
-values.  All three bases are multiplicative, so products merge index
-partitions by sorted concatenation.  Conversions run through the Newton
+integer partitions.  Coefficients are exact: integers stay ``int``, and
+``fractions.Fraction`` enters only where 1/z_lambda does, in the expansion
+of h in power sums.  All three bases are multiplicative, so products merge
+index partitions by sorted concatenation.  Conversions run through the Newton
 recurrence (p <-> h) and the omega involution (h <-> e) and are exact in
 both directions.
 
@@ -19,6 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 BASES = ("p", "h", "e")
+_EXACT = (int, Fraction)
 
 
 class Partition(tuple):
@@ -82,7 +84,12 @@ def z_value(lam):
 
 
 class SymFun:
-    """Sparse basis-tagged symmetric function with Fraction coefficients.
+    """Sparse basis-tagged symmetric function with exact coefficients.
+
+    The constructor is the one place that fixes a coefficient's type and
+    merges terms: ``int`` and ``Fraction`` are kept as given, anything else
+    (a float, a string such as "1/3") is made exact with ``Fraction``, and
+    terms on equal partitions are summed with zeros dropped.
 
     Immutable by convention: no method mutates ``self``; do not modify the
     mapping returned by ``coefficients()``.
@@ -97,7 +104,8 @@ class SymFun:
         items = terms.items() if hasattr(terms, "items") else terms
         for lam, coeff in items:
             lam = lam if type(lam) is Partition else Partition(lam)
-            coeff = Fraction(coeff)
+            if type(coeff) not in _EXACT:
+                coeff = Fraction(coeff)
             if coeff:
                 new = table.get(lam, 0) + coeff
                 if new:
@@ -121,7 +129,7 @@ class SymFun:
         return self._terms
 
     def coefficient(self, lam):
-        return self._terms.get(Partition(lam), Fraction(0))
+        return self._terms.get(Partition(lam), 0)
 
     def is_zero(self):
         return not self._terms
@@ -145,14 +153,7 @@ class SymFun:
         if not isinstance(other, SymFun):
             return NotImplemented
         self._require_same_basis(other)
-        table = dict(self._terms)
-        for lam, c in other._terms.items():
-            new = table.get(lam, 0) + c
-            if new:
-                table[lam] = new
-            elif lam in table:
-                del table[lam]
-        return SymFun(self.basis, table)
+        return SymFun(self.basis, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return SymFun(self.basis, {lam: -c for lam, c in self._terms.items()})
@@ -165,17 +166,15 @@ class SymFun:
     def __mul__(self, other):
         if isinstance(other, SymFun):
             self._require_same_basis(other)
-            table = {}
-            for lam, a in self._terms.items():
-                for mu, b in other._terms.items():
-                    key = Partition(tuple(lam) + tuple(mu))
-                    new = table.get(key, 0) + a * b
-                    if new:
-                        table[key] = new
-                    elif key in table:
-                        del table[key]
-            return SymFun(self.basis, table)
-        if isinstance(other, (int, Fraction)):
+            return SymFun(
+                self.basis,
+                [
+                    (Partition(lam + mu), a * b)
+                    for lam, a in self._terms.items()
+                    for mu, b in other._terms.items()
+                ],
+            )
+        if isinstance(other, _EXACT):
             return SymFun(self.basis, {lam: c * other for lam, c in self._terms.items()})
         return NotImplemented
 
@@ -208,7 +207,7 @@ class SymFun:
 
     @classmethod
     def one(cls, basis):
-        return cls(basis, {Partition(): Fraction(1)})
+        return cls(basis, {Partition(): 1})
 
 
 def p(index):
@@ -233,7 +232,7 @@ def _single(basis, index):
                 raise ValueError("negative power sum index %d" % index)
             return SymFun.zero(basis)
         index = (index,) if index > 0 else ()
-    return SymFun(basis, {Partition(index): Fraction(1)})
+    return SymFun(basis, {Partition(index): 1})
 
 
 def multiply(f, g):
@@ -253,7 +252,7 @@ def _h_part_in_p(m):
 @lru_cache(maxsize=None)
 def _p_part_in_h(m):
     """p_m expanded in the h basis via p_m = m h_m - sum_{j<m} h_{m-j} p_j."""
-    acc = SymFun("h", {Partition((m,)): Fraction(m)})
+    acc = SymFun("h", {Partition((m,)): m})
     for j in range(1, m):
         acc = acc - h(m - j) * _p_part_in_h(j)
     return acc
@@ -370,7 +369,7 @@ def specialize_ones(f, m):
     if m <= 0:
         raise ValueError("m must be positive")
     fp = _to_p(f)
-    return sum((c * m**lam.length for lam, c in fp.coefficients().items()), Fraction(0))
+    return sum(c * m**lam.length for lam, c in fp.coefficients().items())
 
 
 def double_sum_identity_check(a, b):
@@ -397,7 +396,7 @@ def double_sum_identity_check(a, b):
 
 def to_json_dict(f):
     """Canonical JSON form: terms in canonical order, coefficients as exact
-    fraction strings."""
+    fraction strings ("4" for both 4 and Fraction(4))."""
     return {
         "basis": f.basis,
         "terms": [
@@ -407,7 +406,4 @@ def to_json_dict(f):
 
 
 def from_json_dict(d):
-    return SymFun(
-        d["basis"],
-        [(Partition(t["partition"]), Fraction(t["coeff"])) for t in d["terms"]],
-    )
+    return SymFun(d["basis"], [(t["partition"], t["coeff"]) for t in d["terms"]])

@@ -258,6 +258,36 @@ def test_search_guard(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--strands", "9", "--max-crossings", "3"],
+        ["search", "--strands", "1", "--max-crossings", "3"],
+    ],
+)
+def test_rejected_search_keeps_existing_out(capsys, tmp_path, argv):
+    out_path = tmp_path / "sweep.jsonl"
+    out_path.write_text("earlier sweep\n")
+    code, _, _ = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert code == 2
+    assert out_path.read_text() == "earlier sweep\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["sweep.jsonl"]
+
+
+def test_failed_search_keeps_existing_out(capsys, tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        yield from cli.search_general(2, 1)
+        raise RuntimeError("worker died")
+
+    monkeypatch.setattr(cli, "search_general", failing)
+    out_path = tmp_path / "sweep.jsonl"
+    out_path.write_text("earlier sweep\n")
+    with pytest.raises(RuntimeError):
+        main(["search", "--strands", "2", "--max-crossings", "1", "--out", str(out_path)])
+    assert out_path.read_text() == "earlier sweep\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["sweep.jsonl"]
+
+
 # -- determinism ---------------------------------------------------------------------
 
 

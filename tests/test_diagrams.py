@@ -146,6 +146,23 @@ def test_diagram_csf_single_crossing():
     assert to_basis(value, "h") == 6 * h(3)
 
 
+def test_integer_results_hold_int_coefficients():
+    def int_only(f):
+        return all(type(c) is int for c in f.coefficients().values())
+
+    for n in range(1, 7):
+        for shape in enumerate_shapes(n, "211-avoiding"):
+            diagram = diagram_from_lambda(shape)
+            assert int_only(ch_gamma(shape)), shape
+            assert int_only(diagram_csf(diagram, "distinct")), shape
+            assert int_only(diagram_csf(diagram, "multiset")), shape
+            result = reduce_to_h(shape)
+            assert int_only(result.value), shape
+            assert all(
+                int_only(coeff) for step in result.steps for _, coeff in step.terms()
+            ), shape
+
+
 def test_distinct_oracle_set_equality_all_shapes():
     # distinct colorings realize exactly the position-restricted permutations
     for n in range(1, 7):

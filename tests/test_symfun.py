@@ -1,9 +1,14 @@
 import random
+import tempfile
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from strandtrace import (
     Partition,
@@ -19,7 +24,12 @@ from strandtrace import (
     to_basis,
     z_value,
 )
-from strandtrace.symfun import from_json_dict, to_json_dict
+from strandtrace.kernels import restricted_census
+from strandtrace.symfun import BASES, from_json_dict, to_json_dict
+
+# Hypothesis caches the constants it reads from source files while pytest
+# collects, even with database=None; keep that cache out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "strandtrace-hypothesis")
 
 EXAMPLE_213_P = (
     p((1, 1, 1, 1)) + 3 * p((2, 1, 1)) + 2 * p((3, 1)) + p((2, 2)) + p(4)
@@ -258,3 +268,95 @@ def test_symfun_immutable():
     f = h(2)
     with pytest.raises(AttributeError):
         f.basis = "p"
+
+
+# -- coefficient types -------------------------------------------------------
+
+
+def int_only(f):
+    return all(type(c) is int for c in f.coefficients().values())
+
+
+def test_integer_results_hold_int_coefficients():
+    for n in range(1, 7):
+        census = SymFun("p", restricted_census(n, [0] * n))
+        assert int_only(census)
+        in_h = to_basis(census, "h")
+        assert in_h == factorial(n) * h(n) and int_only(in_h)
+    assert int_only(EXAMPLE_213_P * EXAMPLE_213_P - EXAMPLE_213_P)
+    assert int_only(to_basis(EXAMPLE_213_P, "e"))
+
+
+def test_inexact_input_is_made_exact():
+    half = SymFun("p", {(1,): 0.5}).coefficient((1,))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    third = SymFun("p", {(2,): "1/3"}).coefficient((2,))
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert SymFun("h", {(1,): 0.25, (2,): "-3"}) == SymFun(
+        "h", {(1,): Fraction(1, 4), (2,): -3}
+    )
+
+
+# -- properties over mixed int and Fraction coefficients -----------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+SMALL_PARTITIONS = [lam for d in range(0, 5) for lam in partitions_of(d)]
+COEFFICIENTS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+def symfuns(basis):
+    return st.dictionaries(
+        st.sampled_from(SMALL_PARTITIONS), COEFFICIENTS, max_size=4
+    ).map(lambda table: SymFun(basis, table))
+
+
+@st.composite
+def same_basis_triples(draw):
+    basis = draw(st.sampled_from(BASES))
+    return draw(symfuns(basis)), draw(symfuns(basis)), draw(symfuns(basis))
+
+
+@PROPERTY
+@given(same_basis_triples())
+def test_prop_ring_laws(fgk):
+    f, g, k = fgk
+    zero, one = SymFun.zero(f.basis), SymFun.one(f.basis)
+    assert f + g == g + f
+    assert (f + g) + k == f + (g + k)
+    assert f * g == g * f
+    assert (f * g) * k == f * (g * k)
+    assert f * (g + k) == f * g + f * k
+    assert f + zero == f and f * one == f
+    assert (f - f).is_zero() and (f * zero).is_zero()
+
+
+@PROPERTY
+@given(st.sampled_from(BASES).flatmap(symfuns), st.sampled_from(BASES))
+def test_prop_basis_round_trips(f, via):
+    assert to_basis(to_basis(f, via), f.basis) == f
+    assert to_basis(to_basis(to_basis(f, via), "p"), f.basis) == f
+
+
+@PROPERTY
+@given(
+    st.sampled_from(BASES),
+    st.dictionaries(st.sampled_from(SMALL_PARTITIONS), st.integers(-9, 9), max_size=5),
+)
+def test_prop_json_same_for_int_and_fraction(basis, table):
+    as_int = SymFun(basis, table)
+    as_fraction = SymFun(basis, {lam: Fraction(c) for lam, c in table.items()})
+    assert as_int == as_fraction
+    assert to_json_dict(as_int) == to_json_dict(as_fraction)
+
+
+@PROPERTY
+@given(st.sampled_from(BASES).flatmap(symfuns))
+def test_prop_json_round_trip(f):
+    d = to_json_dict(f)
+    assert from_json_dict(d) == f
+    assert to_json_dict(from_json_dict(d)) == d
