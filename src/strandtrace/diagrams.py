@@ -191,7 +191,8 @@ class _Combo:
         for key, coeff in items:
             if not isinstance(coeff, SymFun):
                 coeff = coeff * SymFun.one(self.basis)
-            coeff = to_basis(coeff, self.basis)
+            if coeff.basis != self.basis:
+                coeff = to_basis(coeff, self.basis)
             if coeff.is_zero():
                 continue
             key = self._key(key)

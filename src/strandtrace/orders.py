@@ -247,7 +247,14 @@ def diagram_from_lambda(shape):
 def enumerate_shapes(n, which="all"):
     """Yield every lambda inside stair(n) exactly once, in canonical order
     (by size, then reverse-lexicographically); optionally only the
-    2+1+1-avoiding ones."""
+    2+1+1-avoiding ones.
+
+    The avoiding shapes are built straight from the corner criterion of
+    is_211_avoiding, not filtered out of all C_n shapes: lambda_j may exceed
+    lambda_{j+1} only when lambda_j is n-j or n-j-1, so a shape is a run of
+    descent rows j, each with a value in {n-j, n-j-1} smaller than the one
+    before.  There are F_{2n-1} of them.
+    """
     if which not in ("all", "211-avoiding"):
         raise ValueError("unknown filter %r" % (which,))
     if n > SHAPE_GUARD:
@@ -261,8 +268,16 @@ def enumerate_shapes(n, which="all"):
             for rest in grow(position + 1, part):
                 yield (part,) + rest
 
-    shapes = sorted(set(grow(1, n - 1)), key=partition_sort_key)
-    for parts in shapes:
-        shape = StaircaseShape(n, parts)
-        if which == "all" or is_211_avoiding(shape):
-            yield shape
+    def grow_avoiding(row, cap):
+        # rows before `row` are fixed and the last of them is a descent row
+        # whose value is `cap`; rows row..j all take the next descent value
+        yield ()
+        for j in range(row, n):
+            for value in (n - j, n - j - 1):
+                if 1 <= value < cap:
+                    for rest in grow_avoiding(j + 1, value):
+                        yield (value,) * (j + 1 - row) + rest
+
+    partitions = grow(1, n - 1) if which == "all" else grow_avoiding(1, n)
+    for parts in sorted(partitions, key=partition_sort_key):
+        yield StaircaseShape(n, parts)

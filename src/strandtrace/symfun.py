@@ -6,8 +6,9 @@ integer partitions.  Coefficients are exact: integers stay ``int``, and
 ``fractions.Fraction`` enters only where 1/z_lambda does, in the expansion
 of h in power sums.  All three bases are multiplicative, so products merge
 index partitions by sorted concatenation.  Conversions run through the Newton
-recurrence (p <-> h) and the omega involution (h <-> e) and are exact in
-both directions.
+recurrence (p <-> h), the integer recurrence e_m = sum_i (-1)^(i-1) h_i e_{m-i}
+(e -> h) and the omega involution (h -> e, e -> p) and are exact in both
+directions; e <-> h never leaves the integers.
 
 Conventions (used consistently by callers):
   * ``h(m) == 0`` for m < 0 and ``h(0) == 1``,
@@ -259,6 +260,15 @@ def _p_part_in_h(m):
 
 
 @lru_cache(maxsize=None)
+def _e_part_in_h(m):
+    """e_m expanded in the h basis via e_m = sum_{i=1}^{m} (-1)^(i-1) h_i e_{m-i}."""
+    acc = SymFun.one("h") if m == 0 else SymFun.zero("h")
+    for i in range(1, m + 1):
+        acc = acc + (-1) ** (i - 1) * (h(i) * _e_part_in_h(m - i))
+    return acc
+
+
+@lru_cache(maxsize=None)
 def _h_index_in_p(mu):
     out = SymFun.one("p")
     for m in mu:
@@ -271,6 +281,14 @@ def _p_index_in_h(mu):
     out = SymFun.one("h")
     for m in mu:
         out = out * _p_part_in_h(m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _e_index_in_h(mu):
+    out = SymFun.one("h")
+    for m in mu:
+        out = out * _e_part_in_h(m)
     return out
 
 
@@ -307,7 +325,7 @@ def _to_h(f):
         return f
     if f.basis == "p":
         return _expand(f, _p_index_in_h, "h")
-    return _to_h(_to_p(f))
+    return _expand(f, _e_index_in_h, "h")
 
 
 def to_basis(f, target):

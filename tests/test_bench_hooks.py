@@ -12,6 +12,9 @@ from strandtrace import StaircaseShape, StrandDiagram, cli, diagrams, kernels, o
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 TRACED = (cli, diagrams, kernels, oracle, orders, symfun, symfun.SymFun)
+MODULES = argparse.Namespace(
+    cli=cli, diagrams=diagrams, kernels=kernels, oracle=oracle, orders=orders, symfun=symfun
+)
 
 
 def load_tracing(monkeypatch):
@@ -30,11 +33,8 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
     tracing = load_tracing(monkeypatch)
     before = attributes()
     tracer = tracing.Tracer()
-    st = argparse.Namespace(
-        cli=cli, diagrams=diagrams, kernels=kernels, oracle=oracle, orders=orders, symfun=symfun
-    )
     try:
-        tracing.install(tracer, st)
+        tracing.install(tracer, MODULES)
         assert diagrams.reduce_to_h is not before[1]["reduce_to_h"]
         steps = len(diagrams.reduce_to_h(StaircaseShape(4, (2, 1))).steps)
         composites = len(diagrams.colored_permutations(StrandDiagram(3, [(1, 2), (2, 3)])))
@@ -49,3 +49,19 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
     assert tracer.counts["diagrams.closed_form.calls"] > 0
     assert tracer.counts["oracle.cycle_type.calls"] == composites
     assert tracer.counts["diagrams.distinct_composites"] == 2 * composites
+
+
+def test_tracer_wraps_the_shape_generator(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    original = orders.enumerate_shapes
+    untraced = list(orders.enumerate_shapes(6, "211-avoiding"))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, MODULES)
+        assert orders.enumerate_shapes is not original
+        traced = list(orders.enumerate_shapes(6, "211-avoiding"))
+    finally:
+        tracer.restore()
+    assert orders.enumerate_shapes is original and cli.enumerate_shapes is original
+    assert traced == untraced
+    assert "orders.enumerate_shapes" in tracer.self_times()

@@ -15,6 +15,7 @@ from strandtrace import (
 )
 from strandtrace.errors import GuardExceededError
 from strandtrace.orders import UIOrder, parse_parts
+from strandtrace.symfun import partition_sort_key
 
 
 def relation_set(order):
@@ -202,8 +203,25 @@ def test_enumerate_shapes_211_filter():
     all_4 = {tuple(s.lam) for s in enumerate_shapes(4)}
     avoiding = {tuple(s.lam) for s in enumerate_shapes(4, "211-avoiding")}
     assert (1,) in all_4 and (1,) not in avoiding
+    # the avoiding shapes are built from the corner criterion, not filtered;
+    # they must be exactly what the filter keeps, in the same order
+    for n in range(1, 12):
+        filtered = [s for s in enumerate_shapes(n) if is_211_avoiding(s)]
+        assert list(enumerate_shapes(n, "211-avoiding")) == filtered, n
+
+
+def test_enumerate_211_avoiding_fibonacci_counts_and_order():
+    fib = [0, 1]
+    while len(fib) < 24:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 13):
+        shapes = [tuple(s.lam) for s in enumerate_shapes(n, "211-avoiding")]
+        assert len(shapes) == fib[2 * n - 1], n
+        keys = [partition_sort_key(lam) for lam in shapes]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
 
 
 def test_enumerate_shapes_guard():
-    with pytest.raises(GuardExceededError):
-        list(enumerate_shapes(13))
+    for which in ("all", "211-avoiding"):
+        with pytest.raises(GuardExceededError):
+            list(enumerate_shapes(13, which))

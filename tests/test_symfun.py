@@ -287,6 +287,18 @@ def test_integer_results_hold_int_coefficients():
     assert int_only(to_basis(EXAMPLE_213_P, "e"))
 
 
+def test_e_h_basis_change_stays_integer():
+    # e <-> h directly, against the route through the power sums
+    for n in range(7):
+        for lam in partitions_of(n):
+            for source, target in ((e, "h"), (h, "e")):
+                f = source(lam)
+                direct = to_basis(f, target)
+                assert int_only(direct), (f, direct)
+                assert direct == to_basis(to_basis(f, "p"), target)
+    assert to_basis(e(3), "h") == h(3) - 2 * h((2, 1)) + h((1, 1, 1))
+
+
 def test_inexact_input_is_made_exact():
     half = SymFun("p", {(1,): 0.5}).coefficient((1,))
     assert half == Fraction(1, 2) and type(half) is Fraction
