@@ -204,7 +204,11 @@ def cmd_compute(args):
     value = oracle_value if oracle_value is not None else to_basis(trace_value, "p")
     value = to_basis(value, args.basis)
     if args.log_steps and steps is not None:
-        with open(args.log_steps, "w") as fh:
+        try:
+            fh = open(args.log_steps, "w")
+        except OSError as exc:
+            return _fail_input("cannot write --log-steps %s: %s" % (args.log_steps, exc.strerror))
+        with fh:
             for combo in steps:
                 fh.write(_jsonl(combo.to_json_dict()) + "\n")
     elapsed = time.perf_counter() - started
@@ -241,6 +245,8 @@ def cmd_compute(args):
 
 
 def cmd_verify(args):
+    if args.max_n < 0 or args.max_k < 0:
+        return _fail_input("--max-n and --max-k must be nonnegative")
     started = time.perf_counter()
     cases = SUITES[args.suite](args.max_n, args.max_k)
     failures = [case for case in cases if not case[1]]
@@ -324,10 +330,15 @@ def cmd_search(args):
     """Records go to stdout, or to a temporary file beside --out that
     replaces it only once the sweep has finished, so a rejected or failed
     sweep leaves an existing --out as it was."""
+    if args.count < 1:
+        return _fail_input("--count must be at least 1")
     started = time.perf_counter()
     if args.out:
         partial = "%s.%d.partial" % (args.out, os.getpid())
-        out = open(partial, "w")
+        try:
+            out = open(partial, "w")
+        except OSError as exc:
+            return _fail_input("cannot write --out %s: %s" % (args.out, exc.strerror))
     else:
         out = sys.stdout
     total = 0
@@ -361,7 +372,11 @@ def cmd_search(args):
         raise
     if args.out:
         out.close()
-        os.replace(partial, args.out)
+        try:
+            os.replace(partial, args.out)
+        except OSError as exc:
+            os.remove(partial)
+            return _fail_input("cannot write --out %s: %s" % (args.out, exc.strerror))
     elapsed = time.perf_counter() - started
     sys.stderr.write("elapsed: %.3fs\n" % elapsed)
     summary = [

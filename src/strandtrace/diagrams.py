@@ -6,7 +6,12 @@ yields a composite permutation, and summing p_{cycletype} over colorings
 gives the diagram's symmetric function.  For staircase-like diagrams the
 same function can be computed strand by strand with a partial trace that
 replaces the last strand by either a power-sum factor or dots (deferred
-cycle length) on a surviving strand of the top crossing.
+cycle length) on a surviving strand of the top crossing.  Every term of a
+trace shares one diagram, so the trace rule works on a flat table
+{(dots per strand, power-sum parts): coefficient} for that diagram; the full
+trace stays on that table until it builds one SymFun at the end, and the
+weighted-diagram and combo traces group their terms by diagram, step each
+group once and regroup the result by dots.
 
 The h-positivity pipeline never expands traces fully: it rewrites
 ``partial_k(D)`` combinations (h_k D + h_{k-1} D^1 + ... + h_0 D^k, dots on
@@ -61,11 +66,7 @@ class StrandDiagram:
 
     def is_staircase_like(self):
         """Left and right endpoints both strictly increasing bottom to top."""
-        cs = self.crossings
-        return all(
-            cs[k].i < cs[k + 1].i and cs[k].j < cs[k + 1].j
-            for k in range(len(cs) - 1)
-        )
+        return _staircase_like(self.crossings)
 
     def top(self):
         """The last (right-most) crossing, or None."""
@@ -145,11 +146,6 @@ class WeightedDiagram:
     @property
     def strand_count(self):
         return self.diagram.n
-
-    def with_extra_dots(self, strand, extra):
-        w = list(self.weights)
-        w[strand - 1] += extra
-        return WeightedDiagram(self.diagram, w)
 
     def sort_key(self):
         return (self.diagram.sort_key(), self.weights)
@@ -368,6 +364,75 @@ def diagram_csf(diagram, mode="distinct"):
 # ---------------------------------------------------------------------------
 
 
+def _staircase_like(crossings):
+    return all(
+        crossings[k].i < crossings[k + 1].i and crossings[k].j < crossings[k + 1].j
+        for k in range(len(crossings) - 1)
+    )
+
+
+def _insert_part(parts, m):
+    """The weakly decreasing tuple ``parts`` with one more part m."""
+    k = len(parts)
+    while k and parts[k - 1] < m:
+        k -= 1
+    return parts[:k] + (m,) + parts[k:]
+
+
+def _trace_step(n, crossings, table):
+    """The rule of trace_weighted, applied to every term of one diagram.
+
+    ``table`` maps (weights, parts), parts weakly decreasing, to a
+    coefficient and stands for sum coeff * p_parts * (the diagram with those
+    dots); p_{a+1} enters as the part a+1.  Returns the stripped crossings
+    and the new table.
+    """
+    if n < 1:
+        raise ValueError("cannot trace a zero-strand diagram")
+    if not _staircase_like(crossings):
+        raise NonTraceableError(
+            "diagram %r is not staircase-like" % StrandDiagram(n, crossings)
+        )
+    top = crossings[-1] if crossings else None
+    engaged = ()
+    if top is not None and top.j == n:
+        shrunk = crossings[:-1]
+        if top.j - 1 > top.i:
+            shrunk = shrunk + (Crossing(top.i, top.j - 1),)
+        if not _staircase_like(shrunk):
+            raise NonTraceableError(
+                "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
+            )
+        crossings = shrunk
+        engaged = range(top.i - 1, n - 1)
+    out = {}
+    for (weights, parts), coeff in table.items():
+        a = weights[-1] + 1
+        rest = weights[:-1]
+        key = (rest, _insert_part(parts, a))
+        out[key] = out.get(key, 0) + coeff
+        for s in engaged:
+            dotted = list(rest)
+            dotted[s] += a
+            key = (tuple(dotted), parts)
+            out[key] = out.get(key, 0) + coeff
+    return crossings, out
+
+
+def _traced_terms(diagram, table):
+    """Trace one diagram's table and regroup it as (weighted diagram, SymFun)
+    terms."""
+    crossings, table = _trace_step(diagram.n, diagram.crossings, table)
+    stripped = StrandDiagram(diagram.n - 1, crossings)
+    by_weights = {}
+    for (weights, parts), coeff in table.items():
+        by_weights.setdefault(weights, []).append((parts, coeff))
+    return [
+        (WeightedDiagram(stripped, weights), SymFun("p", terms))
+        for weights, terms in by_weights.items()
+    ]
+
+
 def trace_weighted(wd):
     """One partial trace: remove the last strand of a staircase-like weighted
     diagram.
@@ -377,42 +442,22 @@ def trace_weighted(wd):
     surviving strand s in {i, ..., n-1} carrying a+1 extra dots.  Raises
     NonTraceableError when stripping would leave the staircase-like class.
     """
-    diagram = wd.diagram
-    n = diagram.n
-    if n < 1:
-        raise ValueError("cannot trace a zero-strand diagram")
-    if not diagram.is_staircase_like():
-        raise NonTraceableError("diagram %r is not staircase-like" % diagram)
-    a = wd.weights[n - 1]
-    rest = wd.weights[:-1]
-    top = diagram.top()
-    factor = p(a + 1)
-    if top is None or top.j < n:
-        stripped = StrandDiagram(n - 1, diagram.crossings)
-        return DiagramCombo({WeightedDiagram(stripped, rest): factor})
-    shrunk = diagram.crossings[:-1]
-    if top.j - 1 > top.i:
-        shrunk = shrunk + (Crossing(top.i, top.j - 1),)
-    stripped = StrandDiagram(n - 1, shrunk)
-    if not stripped.is_staircase_like():
-        raise NonTraceableError(
-            "stripping %r leaves the staircase-like class" % diagram
-        )
-    terms = [(WeightedDiagram(stripped, rest), factor)]
-    one = SymFun.one("p")
-    for s in range(top.i, n):
-        terms.append((WeightedDiagram(stripped, rest).with_extra_dots(s, a + 1), one))
-    return DiagramCombo(terms)
+    return DiagramCombo(_traced_terms(wd.diagram, {(wd.weights, ()): 1}))
 
 
 def trace_combo(combo):
     """Linear extension of trace_weighted; collapses to a SymFun once every
     diagram is fully traced."""
-    terms = []
+    tables = {}
     for wd, coeff in combo.terms():
         if wd.strand_count == 0:
             raise ValueError("combo already fully traced")
-        terms.extend((wd2, coeff * c2) for wd2, c2 in trace_weighted(wd).terms())
+        table = tables.setdefault(wd.diagram, {})
+        for lam, c in coeff.coefficients().items():
+            table[(wd.weights, lam)] = c
+    terms = []
+    for diagram, table in tables.items():
+        terms.extend(_traced_terms(diagram, table))
     result = DiagramCombo(terms)
     if result.is_scalar():
         return result.to_symfun()
@@ -420,13 +465,13 @@ def trace_combo(combo):
 
 
 def trace_to_symfun(diagram):
-    """Full iterated trace of an (unweighted) staircase-like diagram."""
-    state = DiagramCombo({WeightedDiagram(diagram): SymFun.one("p")})
-    for _ in range(diagram.n):
-        state = trace_combo(state)
-    if not isinstance(state, SymFun):
-        state = state.to_symfun()
-    return state
+    """Full iterated trace of an (unweighted) staircase-like diagram, on one
+    flat {(weights, parts): count} table."""
+    crossings = diagram.crossings
+    table = {((0,) * diagram.n, ()): 1}
+    for n in range(diagram.n, 0, -1):
+        crossings, table = _trace_step(n, crossings, table)
+    return SymFun("p", [(parts, coeff) for (_, parts), coeff in table.items()])
 
 
 def partial_k(diagram, k):

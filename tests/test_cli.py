@@ -122,6 +122,35 @@ def test_compute_step_log(capsys, tmp_path):
     assert first["terms"][0]["diagram"] == {"n": 4, "crossings": [[1, 2], [2, 3], [3, 4]]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--lambda", "2,1", "--n", "4", "--log-steps"],
+        ["search", "--strands", "3", "--max-crossings", "1", "--out"],
+    ],
+)
+def test_unwritable_output_path_is_bad_input(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, argv + [str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_search_out_naming_a_directory_is_bad_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
+    (tmp_path / "sweep").mkdir()
+    code, out, err = run_cli(
+        capsys,
+        ["search", "--strands", "2", "--max-crossings", "1", "--out", str(tmp_path / "sweep")],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+    assert [f.name for f in tmp_path.iterdir()] == ["sweep"]
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -144,6 +173,22 @@ def test_verify_trace(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "trace", "--max-n", "5"])
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "trace", "--max-n", "-3"],
+        ["verify", "--suite", "closed-form", "--max-k", "-1"],
+        ["search", "--strands", "3", "--max-crossings", "2", "--mode", "random", "--count", "-2"],
+        ["search", "--strands", "3", "--max-crossings", "2", "--mode", "random", "--count", "0"],
+    ],
+)
+def test_meaningless_ranges_are_bad_input(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

@@ -1,7 +1,10 @@
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandtrace import (
     Crossing,
@@ -154,6 +157,7 @@ def test_integer_results_hold_int_coefficients():
         for shape in enumerate_shapes(n, "211-avoiding"):
             diagram = diagram_from_lambda(shape)
             assert int_only(ch_gamma(shape)), shape
+            assert int_only(trace_to_symfun(diagram)), shape
             assert int_only(diagram_csf(diagram, "distinct")), shape
             assert int_only(diagram_csf(diagram, "multiset")), shape
             result = reduce_to_h(shape)
@@ -252,6 +256,50 @@ def test_trace_combo_factorial_identity():
 
 def test_trace_combo_empty_is_zero():
     assert trace_combo(DiagramCombo()) == SymFun.zero("p")
+
+
+def test_trace_combo_is_the_sum_of_single_term_traces():
+    # two diagrams that strip to the same one, with Fraction coefficients
+    terms = [
+        (wd(3, [(1, 2)], (0, 1, 2)), Fraction(1, 3) * p(2) + to_basis(h(2), "p")),
+        (wd(3, [(1, 2), (2, 3)], (0, 1, 0)), Fraction(-5, 2) * p((1, 1))),
+        (wd(3, [(1, 2), (2, 3)]), to_basis(h(3), "p")),
+    ]
+    singles = [
+        term
+        for wd_, coeff in terms
+        for term in trace_combo(DiagramCombo({wd_: coeff})).terms()
+    ]
+    combined = trace_combo(DiagramCombo(terms))
+    assert len({wd_.diagram for wd_, _ in combined.terms()}) == 1
+    assert combined == DiagramCombo(singles)
+
+
+def test_trace_combo_rejects_a_fully_traced_combo():
+    with pytest.raises(ValueError, match="already fully traced"):
+        trace_combo(DiagramCombo({wd(0, []): p(1), wd(2, [(1, 2)]): p(1)}))
+
+
+AVOIDING_SHAPES = st.integers(1, 8).flatmap(
+    lambda n: st.sampled_from(list(enumerate_shapes(n, "211-avoiding")))
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(AVOIDING_SHAPES)
+def test_trace_equals_reduction_and_oracle(shape):
+    traced = trace_to_symfun(diagram_from_lambda(shape))
+    assert traced == to_basis(reduce_to_h(shape).value, "p") == ch_gamma(shape)
+
+
+def test_trace_past_the_oracle_guard():
+    # every 1000th avoiding shape at n = 12, checked against the h-positive
+    # reduction alone; the oracle refuses n > 10
+    shapes = list(enumerate_shapes(12, "211-avoiding"))[::1000]
+    assert len(shapes) == 29
+    for shape in shapes:
+        traced = trace_to_symfun(diagram_from_lambda(shape))
+        assert traced == to_basis(reduce_to_h(shape).value, "p"), shape
 
 
 # -- the partial operator ------------------------------------------------------

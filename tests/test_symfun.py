@@ -1,14 +1,11 @@
 import random
-import tempfile
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from strandtrace import (
     Partition,
@@ -26,10 +23,6 @@ from strandtrace import (
 )
 from strandtrace.kernels import restricted_census
 from strandtrace.symfun import BASES, from_json_dict, to_json_dict
-
-# Hypothesis caches the constants it reads from source files while pytest
-# collects, even with database=None; keep that cache out of the working tree.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "strandtrace-hypothesis")
 
 EXAMPLE_213_P = (
     p((1, 1, 1, 1)) + 3 * p((2, 1, 1)) + 2 * p((3, 1)) + p((2, 2)) + p(4)
