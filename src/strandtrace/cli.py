@@ -171,6 +171,9 @@ def cmd_compute(args):
     shape = _parse_shape(args)
     started = time.perf_counter()
     avoiding = is_211_avoiding(shape)
+    if args.log_steps and (args.via == "oracle" or not avoiding):
+        reason = "--via oracle" if args.via == "oracle" else "a shape that is not 2+1+1-avoiding"
+        return _fail_input("--log-steps needs the reduction, which does not run with %s" % reason)
     route = []
     trace_value = None
     steps = None
@@ -203,7 +206,7 @@ def cmd_compute(args):
             return MATH_FAIL
     value = oracle_value if oracle_value is not None else to_basis(trace_value, "p")
     value = to_basis(value, args.basis)
-    if args.log_steps and steps is not None:
+    if args.log_steps:
         try:
             fh = open(args.log_steps, "w")
         except OSError as exc:

@@ -18,12 +18,19 @@ The h-positivity pipeline never expands traces fully: it rewrites
 the right-most strand) one crossing at a time through a closed form whose
 net coefficients are nonnegative, which certifies h-positivity of the final
 symmetric function.
+
+The positivity sweep applies the coloring sum to generalized diagrams.  It
+evaluates one crossing sequence per orbit of rotation, reversal and
+reflection, which keep the multiset of composite cycle types, and its guard
+bounds the work of the coset census (``kernels.census_work``) summed over
+those orbits.
 """
 
 import os
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -325,20 +332,22 @@ def coloring_budget(diagram):
     return budget
 
 
-def _check_coloring_guard(diagram):
-    budget = coloring_budget(diagram)
-    if budget > COLORING_GUARD:
+def _check_coloring_guard(work, what, *args):
+    """Raise when a census work bound exceeds COLORING_GUARD; ``what % args``
+    names the guarded computation."""
+    if work > COLORING_GUARD:
         raise GuardExceededError(
-            "%d colorings exceed the guard %d" % (budget, COLORING_GUARD)
+            "%s: census work %d exceeds the guard %d" % (what % args, work, COLORING_GUARD)
         )
 
 
 def colored_permutations(diagram):
     """Multiset {permutation image tuple: multiplicity} of the composites of
     all colorings (bottom position -> top position, later crossings applied
-    after earlier ones)."""
-    _check_coloring_guard(diagram)
-    return kernels.colored_census(diagram.n, [tuple(c) for c in diagram.crossings])
+    after earlier ones).  Guarded by the census's own work bound."""
+    crossings = [tuple(c) for c in diagram.crossings]
+    _check_coloring_guard(kernels.census_work(diagram.n, crossings), "%r", diagram)
+    return kernels.colored_census(diagram.n, crossings)
 
 
 def diagram_csf(diagram, mode="distinct"):
@@ -666,13 +675,14 @@ def _worker_count(threads):
 
 
 def _evaluate_crossings(payload):
+    """(h coefficients as JSON, positive, witness) of one crossing sequence;
+    plain data, so that it crosses process boundaries."""
     strands, crossings = payload
-    diagram = StrandDiagram(strands, crossings)
-    verdict = is_h_positive(diagram_csf(diagram, "multiset"))
+    verdict = is_h_positive(diagram_csf(StrandDiagram(strands, crossings), "multiset"))
     witness = None
     if not verdict.positive:
         witness = (list(verdict.witness[0]), str(verdict.witness[1]))
-    return crossings, symfun.to_json_dict(verdict.coefficients), verdict.positive, witness
+    return symfun.to_json_dict(verdict.coefficients), verdict.positive, witness
 
 
 def _probe():
@@ -695,14 +705,43 @@ def _start_pool(workers):
         return None
 
 
-def _record_from_result(strands, result):
-    crossings, coeff_json, positive, witness = result
-    return SearchRecord(
-        StrandDiagram(strands, crossings),
-        symfun.from_json_dict(coeff_json),
-        positive,
-        tuple(witness) if witness is not None else None,
+def _orbit_key(strands, crossings):
+    """The least sequence among the rotations and reversals of a crossing
+    sequence and of its reflection i -> strands+1-i."""
+    mirrored = tuple(Crossing(strands + 1 - j, strands + 1 - i) for i, j in crossings)
+    return min(
+        seq[r:] + seq[:r]
+        for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1])
+        for r in range(len(seq))
     )
+
+
+def _orbit_verdicts(strands, firsts, threads):
+    """Yield (h values, positive, witness) for each sequence of ``firsts``,
+    in order; a failure names the diagram it was evaluating."""
+    payloads = [(strands, crossings) for crossings in firsts]
+    workers = _worker_count(threads)
+    pool = _start_pool(workers) if workers > 1 and len(payloads) > 1 else None
+    if pool is None:
+        results = map(_evaluate_crossings, payloads)
+    else:
+        # about four chunks per worker, so that every worker gets some
+        chunk = max(1, min(64, len(payloads) // (4 * workers)))
+        results = pool.map(_evaluate_crossings, payloads, chunksize=chunk)
+    with pool if pool is not None else nullcontext():
+        for crossings in firsts:
+            try:
+                coeff_json, positive, witness = next(results)
+            except Exception as exc:
+                exc.args = (
+                    "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
+                )
+                raise
+            yield (
+                symfun.from_json_dict(coeff_json),
+                positive,
+                tuple(witness) if witness is not None else None,
+            )
 
 
 def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, count=100):
@@ -734,29 +773,43 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
                    threads=None):
     """Stream (diagram, h-expansion, verdict, witness) for generated diagrams.
 
-    The per-diagram work guard is checked upfront against the worst sequence
-    (the full-width crossing repeated).  Results are independent of the
-    worker count: diagrams are evaluated in generation order.
+    Rotating a crossing sequence conjugates every composite, reversing it
+    inverts them (each crossing's bijections are closed under inverses),
+    and the reflection i -> n+1-i conjugates them by the longest
+    permutation; all three keep the multiset of cycle types.  So each orbit
+    they generate is evaluated once, on its first generated member, and
+    every diagram gets its orbit's result, in generation order.  Before any
+    evaluation, the census work bounds (kernels.census_work) of those first
+    members are summed and checked against COLORING_GUARD.  Results are
+    independent of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")
     if max_crossings < 1:
         raise ValueError("need at least one crossing")
-    worst = factorial(strands) ** max_crossings
-    if worst > COLORING_GUARD:
-        raise GuardExceededError(
-            "worst-case colorings %d exceed the guard %d" % (worst, COLORING_GUARD)
-        )
-    payloads = [
-        (strands, crossings)
-        for crossings in generate_search_diagrams(strands, max_crossings, mode, seed, count)
-    ]
-    workers = _worker_count(threads)
-    pool = _start_pool(workers) if workers > 1 and len(payloads) > 1 else None
-    if pool is not None:
-        with pool:
-            for result in pool.map(_evaluate_crossings, payloads, chunksize=64):
-                yield _record_from_result(strands, result)
-    else:
-        for payload in payloads:
-            yield _record_from_result(strands, _evaluate_crossings(payload))
+    generated = []  # (crossings, index of its orbit in firsts)
+    first_of = {}
+    firsts = []
+    work = 0
+    for crossings in generate_search_diagrams(strands, max_crossings, mode, seed, count):
+        key = _orbit_key(strands, crossings)
+        index = first_of.get(key)
+        if index is None:
+            index = first_of[key] = len(firsts)
+            firsts.append(crossings)
+            work += kernels.census_work(strands, crossings)
+            _check_coloring_guard(
+                work,
+                "search with %d strands and up to %d crossings, first %d orbits",
+                strands, max_crossings, len(firsts),
+            )
+        generated.append((crossings, index))
+    verdicts = _orbit_verdicts(strands, firsts, threads)
+    done = []
+    try:
+        for crossings, index in generated:
+            if index == len(done):
+                done.append(next(verdicts))
+            yield SearchRecord(StrandDiagram(strands, crossings), *done[index])
+    finally:
+        verdicts.close()

@@ -1,11 +1,16 @@
 """Enumeration kernels.
 
-The coloring census is built one crossing at a time; the restricted
-permutation census and the proper-coloring count are plain brute force,
-because they serve as the oracles.  Callers are responsible for work guards.
+The coloring census is built one crossing at a time over cosets of the
+last crossing's symmetric group; the restricted permutation census and the
+proper-coloring count are plain brute force, because they serve as the
+oracles.  Callers are responsible for work guards; ``census_work`` bounds
+what the coloring census does.
 """
 
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
+from operator import itemgetter, not_
 
 # perfbench/run.py reads this and refuses to run on any other value
 BACKEND = "python"
@@ -19,23 +24,75 @@ def colored_census(n, crossings):
     the composite maps bottom positions to top positions (later crossings
     act after earlier ones).  Returns {image-tuple: multiplicity}.
 
-    The census is the group-algebra product of the crossings' symmetrizers:
-    starting from the identity, each crossing maps every composite so far
-    through each bijection of its window, and equal composites merge their
-    counts.  The work is the sum over crossings of states times |window|!,
-    not the product of the |window|! that enumerating colorings costs.
+    The census is the group-algebra product of the crossings' symmetrizers.
+    Crossings act on values, so after a crossing W the counts are invariant
+    under permuting W's values, and a coset is stored as a composite with
+    W's values masked to 0, carrying the count each of its |W|! elements
+    has.  The next crossing W' places the values of W outside W' into the
+    masked slots in every order (each placement stands for |W & W'|!
+    elements), masks W' and merges equal cosets.  Only the last crossing's
+    cosets are expanded to single permutations.
     """
-    counts = {tuple(range(1, n + 1)): 1}
+    crossings = [(int(i), int(j)) for i, j in crossings]
+    if not crossings:
+        return {tuple(range(1, n + 1)): 1}
+    i, j = crossings[0]
+    cosets = {tuple(0 if i <= v <= j else v for v in range(1, n + 1)): 1}
+    held = tuple(range(i, j + 1))  # the values masked in every coset
+    for i, j in crossings[1:]:
+        placed = [v for v in held if not i <= v <= j]
+        zeros = [0] * (len(held) - len(placed))
+        fills = list(dict.fromkeys(permutations(placed + zeros)))
+        weight = factorial(len(zeros))
+        mask = [0 if i <= v <= j else v for v in range(n + 1)].__getitem__
+        layer = {}
+        for coset, count in cosets.items():
+            gather = _gather(tuple(map(not_, coset)))
+            base = tuple(map(mask, coset))
+            count *= weight
+            for fill in fills:
+                image = gather(base + fill)
+                layer[image] = layer.get(image, 0) + count
+        cosets = layer
+        held = tuple(range(i, j + 1))
+    fills = list(permutations(held))
+    census = {}
+    for coset, count in cosets.items():
+        gather = _gather(tuple(map(not_, coset)))
+        for fill in fills:
+            census[gather(coset + fill)] = count
+    return census
+
+
+@lru_cache(maxsize=None)
+def _gather(slots):
+    """itemgetter taking (coset + fill) to the coset with its masked slots,
+    left to right, filled from ``fill``; ``slots`` flags the masked
+    positions.  There are at most 2**n patterns for n strands."""
+    n = len(slots)
+    index = list(range(n))
+    for rank, k in enumerate(k for k in range(n) if slots[k]):
+        index[k] = n + rank
+    return itemgetter(*index)
+
+
+def census_work(n, crossings):
+    """Upper bound on the states colored_census creates for a diagram.
+
+    Each crossing costs its cosets times its placements, |W|! / |W & W'|!
+    for the previous crossing W; the cosets after a crossing W' are at most
+    n! / |W'|!.  The last crossing's cosets then expand by |W'|! each.
+    """
+    work, cosets = 0, 1
+    lo, hi = 1, 0  # the previous window, empty before the first crossing
     for i, j in crossings:
         i, j = int(i), int(j)
-        window = list(permutations(range(i, j + 1)))
-        layer = {}
-        for comp, count in counts.items():
-            for sigma in window:
-                image = tuple(sigma[v - i] if i <= v <= j else v for v in comp)
-                layer[image] = layer.get(image, 0) + count
-        counts = layer
-    return counts
+        overlap = max(0, min(j, hi) - max(i, lo) + 1)
+        placements = factorial(hi - lo + 1) // factorial(overlap)
+        work += cosets * placements
+        cosets = min(cosets * placements, factorial(n) // factorial(j - i + 1))
+        lo, hi = i, j
+    return work + cosets * factorial(hi - lo + 1)
 
 
 def restricted_census(n, bounds):

@@ -138,6 +138,27 @@ def test_unwritable_output_path_is_bad_input(capsys, tmp_path, argv):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--lambda", "2,1", "--n", "4", "--via", "oracle"],
+        ["compute", "--lambda", "1", "--n", "4"],
+        ["compute", "--lambda", "1", "--n", "4", "--via", "trace"],
+    ],
+)
+def test_step_log_without_the_reduction_is_bad_input(capsys, tmp_path, monkeypatch, argv):
+    def untouched(shape):
+        raise AssertionError("the oracle ran before the input was rejected")
+
+    monkeypatch.setattr(cli, "ch_gamma", untouched)
+    log = tmp_path / "steps.jsonl"
+    code, out, err = run_cli(capsys, argv + ["--log-steps", str(log)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --log-steps") and err.count("\n") == 1
+    assert not log.exists()
+
+
 def test_search_out_naming_a_directory_is_bad_input(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
     (tmp_path / "sweep").mkdir()

@@ -1,6 +1,7 @@
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from strandtrace import (
     partial_k,
     reduce_to_h,
     search_general,
+    symfun,
     to_basis,
     trace_combo,
     trace_to_symfun,
@@ -147,6 +149,25 @@ def test_diagram_csf_single_crossing():
     value = diagram_csf(StrandDiagram(3, [(1, 3)]), "distinct")
     assert value == p((1, 1, 1)) + 3 * p((2, 1)) + 2 * p(3)
     assert to_basis(value, "h") == 6 * h(3)
+
+
+@st.composite
+def random_diagrams(draw):
+    n = draw(st.integers(2, 6))
+    window = st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda c: c[0] < c[1])
+    return StrandDiagram(n, draw(st.lists(window, max_size=4)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(random_diagrams())
+def test_multiset_csf_is_invariant_under_the_search_symmetries(d):
+    """The symmetries that search_general evaluates once per orbit."""
+    value = diagram_csf(d, "multiset")
+    crossings = d.crossings
+    rotated = crossings[1:] + crossings[:1]
+    reflected = [(d.n + 1 - c.j, d.n + 1 - c.i) for c in crossings]
+    for image in (rotated, crossings[::-1], reflected):
+        assert diagram_csf(StrandDiagram(d.n, image), "multiset") == value
 
 
 def test_integer_results_hold_int_coefficients():
@@ -468,6 +489,67 @@ def test_search_warns_when_the_pool_cannot_start(monkeypatch):
 def test_search_guard():
     with pytest.raises(GuardExceededError):
         list(search_general(10, 3, threads=1))
+
+
+@pytest.mark.parametrize(
+    "strands,max_crossings,options",
+    [
+        (4, 3, {}),
+        # 60 draws from 12 sequences: every orbit is drawn many times
+        (3, 2, {"mode": "random", "seed": 5, "count": 60}),
+    ],
+)
+def test_search_records_equal_evaluating_every_diagram(strands, max_crossings, options):
+    records = list(search_general(strands, max_crossings, threads=1, **options))
+    sequences = list(generate_search_diagrams(strands, max_crossings, **options))
+    assert [r.diagram.crossings for r in records] == sequences
+    for record, crossings in zip(records, sequences):
+        coeff_json, positive, witness = diagrams._evaluate_crossings((strands, crossings))
+        assert symfun.to_json_dict(record.values) == coeff_json
+        assert record.positive == positive
+        assert record.witness == (tuple(witness) if witness is not None else None)
+
+
+def test_search_six_strands_three_crossings():
+    """6!**3 colorings of the widest sequence would exceed COLORING_GUARD;
+    the census work summed over the 429 orbits is about 1.2e5."""
+    records = list(search_general(6, 3, threads=1))
+    assert len(records) == 3615
+    for record in records:
+        assert record.positive
+        sizes = [c.size for c in record.diagram.crossings]
+        assert sum(record.values.coefficients().values()) == prod(map(factorial, sizes))
+        if len(sizes) == 1:
+            s = sizes[0]
+            assert record.values == factorial(s) * h((s,) + (1,) * (6 - s))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_failure_names_the_diagram(monkeypatch, threads):
+    real = diagrams.diagram_csf
+
+    def failing(diagram, mode="distinct"):
+        if diagram.crossings == ((1, 2), (1, 3)):
+            raise ValueError("no census")
+        return real(diagram, mode)
+
+    monkeypatch.setattr(diagrams, "diagram_csf", failing)
+    with pytest.raises(ValueError, match=r"evaluating n=3; \[1,2\] \[1,3\]: no census"):
+        list(search_general(3, 2, threads=threads))
+
+
+def test_search_pool_chunks_reach_every_worker(monkeypatch):
+    chunks = []
+
+    class Pool(ThreadPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    assert list(search_general(4, 3, threads=2)) == list(search_general(4, 3, threads=1))
+    # 49 orbits on 2 workers
+    assert chunks == [6]
 
 
 def test_generate_search_diagrams_deterministic_order():

@@ -1,11 +1,14 @@
-"""The kernels against brute force written out here: the layer-by-layer
+"""The kernels against brute force written out here: the coset-by-coset
 coloring census against composing every choice of window bijections, the
 restricted-permutation census against all of S_n, and the proper-coloring
 count against all of [m]^n."""
 
 from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strandtrace import kernels
 
@@ -24,6 +27,12 @@ CENSUS_CASES = [
     (6, [(1, 4), (3, 6), (1, 4)]),
     (5, [(1, 5), (1, 5)]),
     (5, [(1, 3), (2, 5), (1, 3), (3, 5)]),
+    # consecutive windows sharing two or more strands, and a window inside
+    # the one before it: cosets merge and carry |W & W'|! per placement
+    (5, [(1, 4), (2, 5)]),
+    (5, [(2, 5), (1, 4), (2, 4)]),
+    (6, [(1, 5), (2, 6), (3, 4)]),
+    (6, [(2, 5), (1, 6), (3, 5), (1, 3)]),
 ]
 
 RESTRICTED_CASES = [
@@ -110,6 +119,30 @@ def test_census_against_product_exhaustively_on_small_diagrams():
             assert kernels.colored_census(4, list(crossings)) == census_reference(
                 4, crossings
             ), crossings
+
+
+@st.composite
+def small_diagrams(draw):
+    n = draw(st.integers(2, 5))
+    window = st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda c: c[0] < c[1])
+    return n, draw(st.lists(window, max_size=3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(small_diagrams())
+def test_census_against_product_on_random_diagrams(diagram):
+    n, crossings = diagram
+    assume(prod(factorial(j - i + 1) for i, j in crossings) <= 20_000)
+    assert kernels.colored_census(n, crossings) == census_reference(n, crossings)
+
+
+def test_census_work_bounds_the_census():
+    assert kernels.census_work(4, []) == 1
+    assert kernels.census_work(11, [(1, 11)]) == 1 + factorial(11)
+    # one coset after [1,2], two placements of its values for [3,4], 2! each
+    assert kernels.census_work(4, [(1, 2), (3, 4)]) == 1 + 2 + 2 * 2
+    for n, crossings in CENSUS_CASES:
+        assert kernels.census_work(n, crossings) >= len(kernels.colored_census(n, crossings))
 
 
 @pytest.mark.parametrize("n,bounds", RESTRICTED_CASES)
