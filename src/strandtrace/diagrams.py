@@ -17,7 +17,10 @@ The h-positivity pipeline never expands traces fully: it rewrites
 ``partial_k(D)`` combinations (h_k D + h_{k-1} D^1 + ... + h_0 D^k, dots on
 the right-most strand) one crossing at a time through a closed form whose
 net coefficients are nonnegative, which certifies h-positivity of the final
-symmetric function.
+symmetric function.  Every state shares one diagram, so the reduction runs
+on one flat table {b: {h-partition: int}}; each closed-form entry is a single
+multiple of one h_q, applied by inserting q into the already sorted
+partitions, and each logged step is built once from the merged table.
 
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
@@ -40,7 +43,7 @@ from typing import NamedTuple
 from strandtrace import kernels, symfun
 from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
 from strandtrace.oracle import cycle_type
-from strandtrace.symfun import SymFun, h, is_h_positive, p, to_basis
+from strandtrace.symfun import Partition, SymFun, _trusted_partition, h, is_h_positive, p, to_basis
 
 COLORING_GUARD = 10**7
 
@@ -70,6 +73,15 @@ class StrandDiagram:
             normalized.append(c)
         self.n = n
         self.crossings = tuple(normalized)
+
+    @classmethod
+    def _trusted(cls, n, crossings):
+        """The diagram on a tuple of Crossings that already fit on n strands;
+        nothing is checked or converted."""
+        diagram = object.__new__(cls)
+        diagram.n = n
+        diagram.crossings = crossings
+        return diagram
 
     def is_staircase_like(self):
         """Left and right endpoints both strictly increasing bottom to top."""
@@ -208,6 +220,15 @@ class _Combo:
             else:
                 table[key] = coeff
         self._table = table
+
+    @classmethod
+    def _trusted(cls, table):
+        """The combo on ``table`` as it stands: normalized keys, nonzero
+        coefficients in ``cls.basis``, nothing mutated later.  Nothing is
+        checked, converted or merged."""
+        combo = object.__new__(cls)
+        combo._table = table
+        return combo
 
     def __len__(self):
         return len(self._table)
@@ -592,17 +613,31 @@ class ReductionResult(NamedTuple):
     steps: list
 
 
+def _add_h_multiple(out, terms, m, mult):
+    """Add mult * h_m * terms into out, both h-basis {Partition: int} tables;
+    h_0 = 1.  Every partition is already sorted, so h_m is inserted in place."""
+    for parts, c in terms.items():
+        if m:
+            parts = _trusted_partition(_insert_part(parts, m))
+        out[parts] = out.get(parts, 0) + c * mult
+
+
 def reduce_to_h(shape, require_211=True):
     """Reduce the diagram of P(lambda) to an h-basis symmetric function by
     removing one crossing at a time through the closed form.
 
     The state is always sum_b coeff_b * partial_b(D) for a single remaining
-    diagram D with dots on its right-most strand.  Removing the top crossing
-    [i, j] of size m substitutes the closed form with the single strand
-    identified with strand i; when the right-most strand is engaged by no
-    remaining crossing, partial_b collapses to the factor (b+1) h_{b+1}.
-    Every intermediate combination is h-nonnegative by construction, so the
-    result certifies h-positivity.  Returns the value and the step log.
+    diagram D with dots on its right-most strand, held as one flat table
+    {b: {h-partition: int}}.  Removing the top crossing [i, j] of size m
+    substitutes the closed form with the single strand identified with
+    strand i: each entry of _closed_form_table(m, b) is one mult * h_q, so
+    q is inserted into every partition of coeff_b, scaled by mult.  When the
+    right-most strand is engaged by no remaining crossing, partial_b
+    collapses to the factor (b+1) h_{b+1}.  Every closed-form entry is a
+    positive multiple, so every intermediate combination is h-nonnegative
+    and no coefficient ever cancels to zero; the result certifies
+    h-positivity.  Each step is logged as a PartialCombo built once from the
+    merged table.  Returns the value and the step log.
     """
     from strandtrace.orders import diagram_from_lambda, is_211_avoiding
 
@@ -612,41 +647,39 @@ def reduce_to_h(shape, require_211=True):
             % (shape,)
         )
     start = diagram_from_lambda(shape)
-    crossings = list(start.crossings)
+    crossings = start.crossings
     strands = start.n
-    table = {0: SymFun.one("h")}
-
-    def snapshot():
-        diagram = StrandDiagram(strands, crossings)
-        return PartialCombo({(diagram, b): coeff for b, coeff in table.items()})
-
-    steps = [snapshot()]
-    while strands > 0:
+    table = {0: {Partition(): 1}}
+    steps = []
+    while True:
+        diagram = StrandDiagram._trusted(strands, crossings)
+        step = {(diagram, b): symfun._trusted("h", terms) for b, terms in table.items()}
+        steps.append(PartialCombo._trusted(step))
+        if strands == 0:
+            return ReductionResult(step[diagram, 0], steps)
         top = crossings[-1] if crossings else None
+        new_table = {}
         if top is None or top.j < strands:
             # the right-most strand is free: partial_b traces to (b+1) h_{b+1}
-            collapsed = SymFun.zero("h")
-            for b, coeff in table.items():
-                collapsed = collapsed + coeff * ((b + 1) * h(b + 1))
-            table = {0: collapsed}
+            collapsed = new_table[0] = {}
+            for b, terms in table.items():
+                _add_h_multiple(collapsed, terms, b + 1, b + 1)
             strands -= 1
-            steps.append(snapshot())
-            continue
-        if len(crossings) >= 2 and crossings[-2].j > top.i:
-            raise NonTraceableError(
-                "crossings %r and %r share more than one strand"
-                % (tuple(crossings[-2]), tuple(top))
-            )
-        new_table = {}
-        for b, coeff in table.items():
-            for b2, c2 in _closed_form_table(top.size, b).items():
-                prev = new_table.get(b2, SymFun.zero("h"))
-                new_table[b2] = prev + coeff * c2
-        table = {b: c for b, c in new_table.items() if not c.is_zero()}
-        crossings.pop()
-        strands = top.i
-        steps.append(snapshot())
-    return ReductionResult(table[0], steps)
+        else:
+            if len(crossings) >= 2 and crossings[-2].j > top.i:
+                raise NonTraceableError(
+                    "crossings %r and %r share more than one strand"
+                    % (tuple(crossings[-2]), tuple(top))
+                )
+            for b, terms in table.items():
+                for b2, closed in _closed_form_table(top.size, b).items():
+                    ((q, mult),) = closed.coefficients().items()
+                    _add_h_multiple(new_table.setdefault(b2, {}), terms, q[0] if q else 0, mult)
+            # right ends rise bottom to top, so every remaining crossing
+            # fits on the top.i strands that are left
+            crossings = crossings[:-1]
+            strands = top.i
+        table = new_table
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ class SymFun:
     terms on equal partitions are summed with zeros dropped.
 
     Immutable by convention: no method mutates ``self``; do not modify the
-    mapping returned by ``coefficients()``.
+    mapping returned by ``coefficients()``.  Results whose table is already
+    merged (negation, scalar multiples, retags) skip the constructor through
+    ``_trusted``, so two functions may share one table.
     """
 
     __slots__ = ("basis", "_terms")
@@ -157,7 +159,7 @@ class SymFun:
         return SymFun(self.basis, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
-        return SymFun(self.basis, {lam: -c for lam, c in self._terms.items()})
+        return _trusted(self.basis, {lam: -c for lam, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SymFun):
@@ -176,7 +178,9 @@ class SymFun:
                 ],
             )
         if isinstance(other, _EXACT):
-            return SymFun(self.basis, {lam: c * other for lam, c in self._terms.items()})
+            if not other:
+                return _trusted(self.basis, {})
+            return _trusted(self.basis, {lam: c * other for lam, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -209,6 +213,22 @@ class SymFun:
     @classmethod
     def one(cls, basis):
         return cls(basis, {Partition(): 1})
+
+
+def _trusted(basis, table):
+    """The SymFun on ``table`` as it stands: a merged {Partition: nonzero
+    int or Fraction} mapping, in a valid basis, that nothing mutates later.
+    Nothing is checked, sorted or copied."""
+    f = object.__new__(SymFun)
+    object.__setattr__(f, "basis", basis)
+    object.__setattr__(f, "_terms", table)
+    return f
+
+
+def _trusted_partition(parts):
+    """The Partition on a tuple of positive parts that is already weakly
+    decreasing; nothing is checked or sorted."""
+    return tuple.__new__(Partition, parts)
 
 
 def p(index):
@@ -307,8 +327,8 @@ def omega(f):
     """The involution omega: swaps the h and e tags; on the p basis it
     scales p_lambda by (-1)^(|lambda| - l(lambda))."""
     if f.basis == "p":
-        return SymFun("p", {lam: _omega_sign(lam) * c for lam, c in f.coefficients().items()})
-    return SymFun("e" if f.basis == "h" else "h", f.coefficients())
+        return _trusted("p", {lam: _omega_sign(lam) * c for lam, c in f.coefficients().items()})
+    return _trusted("e" if f.basis == "h" else "h", f.coefficients())
 
 
 def _to_p(f):
@@ -423,5 +443,12 @@ def to_json_dict(f):
     }
 
 
+def _json_coeff(text):
+    """A coefficient string back as a number: whole numbers ("4") as int,
+    the rest ("1/3") as Fraction."""
+    value = Fraction(text)
+    return value.numerator if value.denominator == 1 else value
+
+
 def from_json_dict(d):
-    return SymFun(d["basis"], [(t["partition"], t["coeff"]) for t in d["terms"]])
+    return SymFun(d["basis"], [(t["partition"], _json_coeff(t["coeff"])) for t in d["terms"]])

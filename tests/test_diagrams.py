@@ -1,7 +1,8 @@
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from strandtrace import (
     Crossing,
     DiagramCombo,
     NonTraceableError,
+    Partition,
     PartialCombo,
     StaircaseShape,
     StrandDiagram,
     SymFun,
     WeightedDiagram,
     ch_gamma,
+    cli,
     closed_form_single_crossing,
     colored_permutations,
     diagram_csf,
@@ -25,11 +28,13 @@ from strandtrace import (
     enumerate_shapes,
     format_diagram,
     h,
+    incomparability_graph,
     is_h_positive,
     iterate_trace_partial,
     p,
     parse_diagram,
     partial_k,
+    poset_from_lambda,
     reduce_to_h,
     search_general,
     symfun,
@@ -439,6 +444,73 @@ def test_reduce_degree_bookkeeping():
                 assert step.degree_constant() == n, shape
 
 
+# sha256 of the step log of every avoiding shape with n <= 7, one
+# `compute --log-steps` line per step, shapes in enumeration order
+STEP_LOG_SHA256 = "87784aa41c99eff576109b3ddfc7b19d33866c805d81e63aa699c847886da024"
+
+
+def avoiding_reductions(max_n):
+    for n in range(1, max_n + 1):
+        for shape in enumerate_shapes(n, "211-avoiding"):
+            yield shape, reduce_to_h(shape)
+
+
+def test_reduce_steps_trace_back_to_the_value():
+    # each logged state, expanded and traced to the end, is the value again
+    count = 0
+    for shape, result in avoiding_reductions(7):
+        value = to_basis(result.value, "p")
+        for step in result.steps:
+            state = step.expand()
+            while not isinstance(state, SymFun):
+                state = state.to_symfun() if state.is_scalar() else trace_combo(state)
+            assert state == value, (shape, step.to_json_dict())
+            count += 1
+    assert count == 2362
+
+
+def test_reduce_step_log_is_pinned_and_canonical():
+    digest = hashlib.sha256()
+    count = 0
+    for shape, result in avoiding_reductions(7):
+        for step in result.steps:
+            digest.update((cli._jsonl(step.to_json_dict()) + "\n").encode())
+            count += 1
+            assert step == PartialCombo(step.terms()), shape
+            for (diagram, b), coeff in step.terms():
+                assert diagram == StrandDiagram(diagram.n, diagram.crossings), shape
+                assert type(b) is int and coeff.basis == "h"
+                assert coeff == SymFun("h", coeff.coefficients()), shape
+                for lam, c in coeff.coefficients().items():
+                    assert type(lam) is Partition, shape
+                    assert list(lam) == sorted(lam, reverse=True), shape
+                    assert type(c) is int and c > 0, shape
+        assert result.value == result.steps[-1].coefficient(StrandDiagram(0), 0)
+    assert count == 2362
+    assert digest.hexdigest() == STEP_LOG_SHA256
+
+
+def test_reduction_past_the_oracle_guard_gives_the_chromatic_polynomial():
+    # omega turns h_mu into e_mu, and e_mu(1^m) = prod C(m, mu_i), so the
+    # reduction evaluated this way counts proper m-colorings.  The natural
+    # labelling is a perfect elimination order: the earlier neighbours of
+    # each vertex form a clique, so it has that many colors ruled out.
+    shapes = list(enumerate_shapes(12, "211-avoiding"))[::100]
+    assert len(shapes) == 287
+    for shape in shapes:
+        value = reduce_to_h(shape).value
+        edges = incomparability_graph(poset_from_lambda(shape)).edges
+        earlier = [[u for u in range(1, v) if (u, v) in edges] for v in range(1, 13)]
+        for clique in earlier:
+            assert all((u, w) in edges for u in clique for w in clique if u < w), shape
+        for m in range(1, 14):
+            evaluated = sum(
+                c * prod(comb(m, part) for part in lam)
+                for lam, c in value.coefficients().items()
+            )
+            assert evaluated == prod(m - len(clique) for clique in earlier), (shape, m)
+
+
 # -- search ----------------------------------------------------------------------
 
 
@@ -460,6 +532,15 @@ def test_search_two_strand_powers():
     for j, record in enumerate(records, start=1):
         assert record.positive
         assert record.values == 2**j * h(2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_records_hold_int_coefficients(threads):
+    # the values cross the pool as JSON and must come back as int
+    records = list(search_general(3, 2, threads=threads))
+    assert records[0].values == 2 * h((2, 1))
+    for record in records:
+        assert all(type(c) is int for c in record.values.coefficients().values()), record
 
 
 def test_search_exhaustive_small_no_counterexamples():

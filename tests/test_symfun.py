@@ -363,5 +363,28 @@ def test_prop_json_same_for_int_and_fraction(basis, table):
 @given(st.sampled_from(BASES).flatmap(symfuns))
 def test_prop_json_round_trip(f):
     d = to_json_dict(f)
-    assert from_json_dict(d) == f
-    assert to_json_dict(from_json_dict(d)) == d
+    back = from_json_dict(d)
+    assert back == f
+    assert to_json_dict(back) == d
+    # whole numbers come back as int, whatever type they were written from
+    for c in back.coefficients().values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+def merged(f):
+    """f rebuilt through the merging constructor."""
+    return SymFun(f.basis, f.coefficients())
+
+
+@PROPERTY
+@given(st.sampled_from(BASES).flatmap(symfuns), COEFFICIENTS)
+def test_prop_negation_scalars_and_omega_stay_canonical(f, scalar):
+    # these results skip the merging constructor; they must equal what it
+    # would have built, with no zero coefficients and Partition keys
+    for g in (-f, scalar * f, f * scalar, omega(f)):
+        assert g == merged(g)
+        assert all(type(lam) is Partition and c for lam, c in g.coefficients().items())
+    assert -f == SymFun(f.basis, {lam: -c for lam, c in f.coefficients().items()})
+    assert scalar * f == SymFun(f.basis, {lam: scalar * c for lam, c in f.coefficients().items()})
+    assert omega(omega(f)) == f
+    assert (0 * f).is_zero() and (f * Fraction(0)).is_zero()
