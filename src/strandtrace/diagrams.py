@@ -375,18 +375,19 @@ def diagram_csf(diagram, mode="distinct"):
     """Sum of p_{cycletype} over colorings, in the power-sum basis.
 
     mode="distinct" counts each composite permutation once; mode="multiset"
-    counts it with its coloring multiplicity.
+    counts it with its coloring multiplicity.  Every count is positive, so
+    the cycle types are counted into one table that becomes the SymFun as
+    it stands.
     """
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
     census = colored_permutations(diagram)
-    return SymFun(
-        "p",
-        [
-            (cycle_type(images), count if mode == "multiset" else 1)
-            for images, count in census.items()
-        ],
-    )
+    multiset = mode == "multiset"
+    table = {}
+    for images, count in census.items():
+        lam = cycle_type(images)
+        table[lam] = table.get(lam, 0) + (count if multiset else 1)
+    return symfun._trusted("p", table)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +497,16 @@ def trace_combo(combo):
 
 def trace_to_symfun(diagram):
     """Full iterated trace of an (unweighted) staircase-like diagram, on one
-    flat {(weights, parts): count} table."""
+    flat {(weights, parts): count} table.  Counts only grow and parts stay
+    sorted, so the final table is built into a SymFun as it stands."""
     crossings = diagram.crossings
     table = {((0,) * diagram.n, ()): 1}
     for n in range(diagram.n, 0, -1):
         crossings, table = _trace_step(n, crossings, table)
-    return SymFun("p", [(parts, coeff) for (_, parts), coeff in table.items()])
+    # every strand is gone, so each key is ((), parts) with a distinct parts
+    return symfun._trusted(
+        "p", {_trusted_partition(parts): coeff for (_, parts), coeff in table.items()}
+    )
 
 
 def partial_k(diagram, k):
@@ -699,11 +704,19 @@ def crossing_alphabet(strands):
 
 
 def _worker_count(threads):
+    """``threads`` if given, else STRAND_TRACE_THREADS, else the number of
+    CPUs this process may run on (its affinity mask, where the platform has
+    one)."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("STRAND_TRACE_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError("STRAND_TRACE_THREADS must be an integer, not %r" % env) from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

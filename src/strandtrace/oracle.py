@@ -3,11 +3,17 @@
 Everything the diagram calculus produces is cross-checked against direct
 enumeration: the restricted-permutation sum for the symmetric function of a
 shape, and plain proper-coloring counts for its incomparability graph.
+
+The kernels already return canonical results (cycle types as descending
+tuples, a census with one positive count per cycle type), so ``cycle_type``
+(after checking that its input is a permutation) and ``ch_gamma`` wrap them
+with the trusted constructors of ``symfun`` instead of sorting and merging
+them again.
 """
 
 from strandtrace import kernels
 from strandtrace.errors import GuardExceededError
-from strandtrace.symfun import Partition, SymFun
+from strandtrace.symfun import _trusted, _trusted_partition
 
 FACTORIAL_GUARD = 10  # ch_gamma enumerates S_n
 COLORING_COUNT_GUARD = 10**8  # proper_coloring_count explores <= m^n leaves
@@ -18,7 +24,7 @@ def cycle_type(images):
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError("%r is not a permutation of 1..%d" % (images, n))
-    return Partition(kernels.cycle_type(images))
+    return _trusted_partition(kernels.cycle_type(images))
 
 
 def position_bounds(shape):
@@ -36,7 +42,8 @@ def ch_gamma(shape):
         raise GuardExceededError(
             "n=%d exceeds the S_n enumeration guard %d" % (n, FACTORIAL_GUARD)
         )
-    return SymFun("p", kernels.restricted_census(n, position_bounds(shape)))
+    census = kernels.restricted_census(n, position_bounds(shape))
+    return _trusted("p", {_trusted_partition(ct): count for ct, count in census.items()})
 
 
 def proper_coloring_count(graph, m):

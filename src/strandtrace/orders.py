@@ -5,13 +5,20 @@ poset P(lambda) on [n] by ``a < b iff a <= lambda_{n+1-b}``; drawing lambda
 in the south-west corner of an n x n square, the pattern class of P(lambda)
 can be read off the corners of the shape, and the shape also determines the
 strand diagram whose colorings compute the associated symmetric function.
+
+Shapes and diagrams that this module generates are valid by construction:
+``enumerate_shapes`` builds weakly decreasing parts inside the staircase and
+``diagram_from_lambda`` only crossings 1 <= i < j <= n, so both are built
+with the trusted constructors (``StaircaseShape._trusted``,
+``StrandDiagram._trusted``) and checked against the validating ones by the
+test suite.
 """
 
 from itertools import combinations
 
-from strandtrace.diagrams import StrandDiagram
+from strandtrace.diagrams import Crossing, StrandDiagram
 from strandtrace.errors import GuardExceededError
-from strandtrace.symfun import Partition, partition_sort_key
+from strandtrace.symfun import Partition, _trusted_partition, partition_sort_key
 
 PATTERN_GUARD = 12
 SHAPE_GUARD = 12
@@ -35,6 +42,15 @@ class StaircaseShape:
                 )
         self.n = n
         self.lam = lam
+
+    @classmethod
+    def _trusted(cls, n, lam):
+        """The shape on a Partition that already fits inside stair(n);
+        nothing is checked or sorted."""
+        shape = object.__new__(cls)
+        shape.n = n
+        shape.lam = lam
+        return shape
 
     def part(self, i):
         """lambda_i with zero padding for i beyond the last part."""
@@ -240,8 +256,9 @@ def diagram_from_lambda(shape):
             continue
         if crossings and crossings[-1] == (i, j):
             continue
-        crossings.append((i, j))
-    return StrandDiagram(n, crossings)
+        crossings.append(Crossing(i, j))
+    # 1 <= i < j <= n holds for every kept crossing
+    return StrandDiagram._trusted(n, tuple(crossings))
 
 
 def enumerate_shapes(n, which="all"):
@@ -280,4 +297,4 @@ def enumerate_shapes(n, which="all"):
 
     partitions = grow(1, n - 1) if which == "all" else grow_avoiding(1, n)
     for parts in sorted(partitions, key=partition_sort_key):
-        yield StaircaseShape(n, parts)
+        yield StaircaseShape._trusted(n, _trusted_partition(parts))

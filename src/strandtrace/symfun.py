@@ -94,8 +94,12 @@ class SymFun:
 
     Immutable by convention: no method mutates ``self``; do not modify the
     mapping returned by ``coefficients()``.  Results whose table is already
-    merged (negation, scalar multiples, retags) skip the constructor through
-    ``_trusted``, so two functions may share one table.
+    merged skip the constructor through ``_trusted``, so two functions may
+    share one table: negation, scalar multiples, the retags of ``omega``,
+    the basis-change expansion ``_expand`` (merged in one table, zeros
+    dropped once), ``oracle.ch_gamma``, and in ``diagrams`` the coloring
+    sum ``diagram_csf``, the full trace ``trace_to_symfun`` and the
+    reduction's steps.
     """
 
     __slots__ = ("basis", "_terms")
@@ -313,10 +317,14 @@ def _e_index_in_h(mu):
 
 
 def _expand(f, index_expansion, target):
-    acc = SymFun.zero(target)
+    """sum_lam c_lam * index_expansion(lam) over f's coefficients, whatever
+    f's basis tag, merged in one table; terms may cancel, so zeros are
+    dropped once at the end."""
+    acc = {}
     for lam, c in f.coefficients().items():
-        acc = acc + c * index_expansion(lam)
-    return acc
+        for mu, d in index_expansion(lam).coefficients().items():
+            acc[mu] = acc.get(mu, 0) + c * d
+    return _trusted(target, {mu: c for mu, c in acc.items() if c})
 
 
 def _omega_sign(lam):
@@ -336,8 +344,8 @@ def _to_p(f):
         return f
     if f.basis == "h":
         return _expand(f, _h_index_in_p, "p")
-    # e_mu = omega(h_mu), so expand the retagged function and flip signs
-    return omega(_expand(SymFun("h", f.coefficients()), _h_index_in_p, "p"))
+    # e_mu = omega(h_mu), so expand the coefficients on h_mu and flip signs
+    return omega(_expand(f, _h_index_in_p, "p"))
 
 
 def _to_h(f):
@@ -358,8 +366,8 @@ def to_basis(f, target):
         return _to_p(f)
     if target == "h":
         return _to_h(f)
-    # coefficients of f on e_mu are the h-coefficients of omega(f)
-    return SymFun("e", _to_h(omega(f)).coefficients())
+    # f = omega(omega(f)), and omega retags an h expansion as e
+    return omega(_to_h(omega(f)))
 
 
 # -- positivity, evaluation, identities -----------------------------------

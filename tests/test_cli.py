@@ -172,6 +172,18 @@ def test_search_out_naming_a_directory_is_bad_input(capsys, tmp_path, monkeypatc
     assert [f.name for f in tmp_path.iterdir()] == ["sweep"]
 
 
+def test_non_integer_thread_count_is_bad_input(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "abc")
+    code, out, err = run_cli(
+        capsys,
+        ["search", "--strands", "3", "--max-crossings", "1", "--out", str(tmp_path / "s.jsonl")],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: STRAND_TRACE_THREADS must be an integer, not 'abc'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- verify --------------------------------------------------------------------
 
 

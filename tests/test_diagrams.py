@@ -1,4 +1,5 @@
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
@@ -157,10 +158,19 @@ def test_diagram_csf_single_crossing():
 
 
 @st.composite
-def random_diagrams(draw):
-    n = draw(st.integers(2, 6))
+def random_diagrams(draw, min_strands=2):
+    n = draw(st.integers(min_strands, 6))
+    if n < 2:
+        return StrandDiagram(n)
     window = st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda c: c[0] < c[1])
     return StrandDiagram(n, draw(st.lists(window, max_size=4)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(random_diagrams(min_strands=0))
+def test_prop_diagram_text_and_json_round_trips(d):
+    assert parse_diagram(format_diagram(d)) == d
+    assert StrandDiagram(**d.to_json_dict()) == d
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -565,6 +575,19 @@ def test_search_warns_when_the_pool_cannot_start(monkeypatch):
     with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: no processes\)"):
         fallback = list(search_general(3, 2, threads=2))
     assert fallback == list(search_general(3, 2, threads=1))
+
+
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("STRAND_TRACE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert diagrams._worker_count(None) == 1
+    # platforms without affinity masks fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert diagrams._worker_count(None) == 64
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "3")
+    assert diagrams._worker_count(None) == 3
+    assert diagrams._worker_count(2) == 2
 
 
 def test_search_guard():
