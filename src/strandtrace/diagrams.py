@@ -33,7 +33,6 @@ import os
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -201,7 +200,9 @@ class _Combo:
         return key
 
     def __init__(self, terms=()):
-        table = {}
+        # one flat {key: {partition: coeff}} accumulator, merged the way
+        # SymFun.__init__ merges, so each coefficient is built once at the end
+        acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
             if not isinstance(coeff, SymFun):
@@ -211,15 +212,16 @@ class _Combo:
             if coeff.is_zero():
                 continue
             key = self._key(key)
-            if key in table:
-                merged = table[key] + coeff
-                if merged.is_zero():
-                    del table[key]
+            merged = acc.setdefault(key, {})
+            for lam, c in coeff.coefficients().items():
+                new = merged.get(lam, 0) + c
+                if new:
+                    merged[lam] = new
                 else:
-                    table[key] = merged
-            else:
-                table[key] = coeff
-        self._table = table
+                    del merged[lam]
+            if not merged:
+                del acc[key]
+        self._table = {key: symfun._trusted(self.basis, merged) for key, merged in acc.items()}
 
     @classmethod
     def _trusted(cls, table):
@@ -343,14 +345,6 @@ class PartialCombo(_Combo):
 # ---------------------------------------------------------------------------
 # colorings
 # ---------------------------------------------------------------------------
-
-
-def coloring_budget(diagram):
-    """Total number of colorings: product of crossing-size factorials."""
-    budget = 1
-    for c in diagram.crossings:
-        budget *= factorial(c.size)
-    return budget
 
 
 def _check_coloring_guard(work, what, *args):
@@ -699,6 +693,19 @@ class SearchRecord(NamedTuple):
     witness: tuple | None
 
 
+# Summed census work (kernels.census_work) that one sweep worker must have
+# for the pool to pay for its start, probe and shutdown.  Alternating
+# threads=1 / threads=2 pairs, each search_general run in a fresh process
+# (2 cores, Python 3.11.7), medians in seconds:
+#   work 914 (4x3) 0.014 / 0.035; 5,058 (4x4) 0.058 / 0.073;
+#   9,785 (5x3) 0.063 / 0.090; 12,935 (6x2) 0.062 / 0.084;
+#   25,186 (4x5) 0.323 / 0.332; 107,045 (5x4) 0.581 / 0.629;
+#   113,788 (7x2) 0.362 / 0.401; 122,032 (6x3) 0.436 / 0.396;
+#   1,156,230 (8x2) 4.43 / 2.81; 2,297,543 (6x4) 7.34 / 4.33.
+# The 10^5 band is level within noise, so two workers start from 10^5 on.
+_WORK_PER_WORKER = 50_000
+
+
 def crossing_alphabet(strands):
     return [Crossing(i, j) for i in range(1, strands) for j in range(i + 1, strands + 1)]
 
@@ -762,11 +769,15 @@ def _orbit_key(strands, crossings):
     )
 
 
-def _orbit_verdicts(strands, firsts, threads):
+def _orbit_verdicts(strands, firsts, threads, work):
     """Yield (h values, positive, witness) for each sequence of ``firsts``,
-    in order; a failure names the diagram it was evaluating."""
+    in order; a failure names the diagram it was evaluating.  ``work`` is
+    the summed census work of ``firsts``: each worker needs
+    _WORK_PER_WORKER of it, and with fewer than two workers the sequences
+    are evaluated in this process.  Leaving early cancels the chunks no
+    worker has started."""
     payloads = [(strands, crossings) for crossings in firsts]
-    workers = _worker_count(threads)
+    workers = min(_worker_count(threads), work // _WORK_PER_WORKER)
     pool = _start_pool(workers) if workers > 1 and len(payloads) > 1 else None
     if pool is None:
         results = map(_evaluate_crossings, payloads)
@@ -774,7 +785,7 @@ def _orbit_verdicts(strands, firsts, threads):
         # about four chunks per worker, so that every worker gets some
         chunk = max(1, min(64, len(payloads) // (4 * workers)))
         results = pool.map(_evaluate_crossings, payloads, chunksize=chunk)
-    with pool if pool is not None else nullcontext():
+    try:
         for crossings in firsts:
             try:
                 coeff_json, positive, witness = next(results)
@@ -788,6 +799,9 @@ def _orbit_verdicts(strands, firsts, threads):
                 positive,
                 tuple(witness) if witness is not None else None,
             )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, count=100):
@@ -826,8 +840,11 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
     they generate is evaluated once, on its first generated member, and
     every diagram gets its orbit's result, in generation order.  Before any
     evaluation, the census work bounds (kernels.census_work) of those first
-    members are summed and checked against COLORING_GUARD.  Results are
-    independent of the worker count.
+    members are summed and checked against COLORING_GUARD.  The same sum
+    sizes the worker pool: min(cap, work // _WORK_PER_WORKER) processes,
+    where the cap is ``threads``, else STRAND_TRACE_THREADS, else the CPUs
+    the process may run on; below two workers the sweep runs in this
+    process and starts none.  Results are independent of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")
@@ -850,7 +867,7 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
                 strands, max_crossings, len(firsts),
             )
         generated.append((crossings, index))
-    verdicts = _orbit_verdicts(strands, firsts, threads)
+    verdicts = _orbit_verdicts(strands, firsts, threads, work)
     done = []
     try:
         for crossings, index in generated:

@@ -18,6 +18,7 @@ from strandtrace import (
     cycle_type,
     diagram_csf,
     diagram_from_lambda,
+    diagrams,
     double_sum_identity_check,
     enumerate_shapes,
     h,
@@ -170,6 +171,8 @@ def test_criterion_9_determinism(capsys, tmp_path, monkeypatch):
         second = capsys.readouterr().out
         assert first == second, argv
     outputs = []
+    # every worker count past 1 runs the pool, whatever the sweep's census work
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     for workers in ("1", "2", "4"):
         monkeypatch.setenv("STRAND_TRACE_THREADS", workers)
         out_path = tmp_path / ("sweep_%s.jsonl" % workers)

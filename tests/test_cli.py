@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strandtrace import cli, p
+from strandtrace import cli, diagrams, p
 from strandtrace.cli import main
 
 
@@ -386,6 +386,7 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
 
 def test_search_worker_count_does_not_change_output(capsys, tmp_path, monkeypatch):
     args = ["search", "--strands", "4", "--max-crossings", "3"]
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
     one = tmp_path / "one.jsonl"
     assert main(args + ["--out", str(one)]) == 0

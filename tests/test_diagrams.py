@@ -1,5 +1,6 @@
 import hashlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
@@ -44,7 +45,7 @@ from strandtrace import (
     trace_to_symfun,
     trace_weighted,
 )
-from strandtrace.diagrams import SINGLE_STRAND, coloring_budget, generate_search_diagrams
+from strandtrace.diagrams import SINGLE_STRAND, generate_search_diagrams
 from strandtrace.errors import GuardExceededError
 
 D21 = StrandDiagram(4, [(1, 2), (2, 3), (3, 4)])
@@ -126,7 +127,7 @@ def test_mass_conservation():
     for crossings in ([(1, 2)], [(1, 3), (2, 4)], [(2, 3), (1, 2), (3, 4), (2, 3)]):
         d = StrandDiagram(4, crossings)
         census = colored_permutations(d)
-        assert sum(census.values()) == coloring_budget(d)
+        assert sum(census.values()) == prod(factorial(c.size) for c in d.crossings)
 
 
 def test_coloring_guard():
@@ -545,8 +546,9 @@ def test_search_two_strand_powers():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_search_records_hold_int_coefficients(threads):
+def test_search_records_hold_int_coefficients(monkeypatch, threads):
     # the values cross the pool as JSON and must come back as int
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     records = list(search_general(3, 2, threads=threads))
     assert records[0].values == 2 * h((2, 1))
     for record in records:
@@ -572,6 +574,7 @@ def test_search_warns_when_the_pool_cannot_start(monkeypatch):
         raise OSError("no processes")
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: no processes\)"):
         fallback = list(search_general(3, 2, threads=2))
     assert fallback == list(search_general(3, 2, threads=1))
@@ -638,6 +641,7 @@ def test_search_failure_names_the_diagram(monkeypatch, threads):
         return real(diagram, mode)
 
     monkeypatch.setattr(diagrams, "diagram_csf", failing)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.raises(ValueError, match=r"evaluating n=3; \[1,2\] \[1,3\]: no census"):
         list(search_general(3, 2, threads=threads))
 
@@ -651,9 +655,73 @@ def test_search_pool_chunks_reach_every_worker(monkeypatch):
             return super().map(fn, *iterables)
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     assert list(search_general(4, 3, threads=2)) == list(search_general(4, 3, threads=1))
     # 49 orbits on 2 workers
     assert chunks == [6]
+
+
+def test_small_search_runs_in_process(monkeypatch):
+    started = []
+
+    def refuse(max_workers):
+        started.append(max_workers)
+        raise OSError("no processes")
+
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
+    # 49 orbits with a summed census work of 914, far below two workers' worth
+    assert len(list(search_general(4, 3, threads=2))) == 6 + 6**2 + 6**3
+    assert started == []
+
+
+@pytest.mark.parametrize(
+    "threads,work_per_worker,workers",
+    # 4 x 3 sums a census work of 914 over its 49 orbits
+    [(2, 1, 2), (8, 300, 3), (8, 457, 2), (2, 458, None), (1, 1, None)],
+)
+def test_search_worker_count_follows_the_census_work(
+    monkeypatch, threads, work_per_worker, workers
+):
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", work_per_worker)
+    assert list(search_general(4, 3, threads=threads)) == list(search_general(4, 3, threads=1))
+    assert started == ([] if workers is None else [workers])
+
+
+def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
+    real = diagrams._evaluate_crossings
+    first = (Crossing(1, 2),)
+    evaluated = []
+    gate = threading.Event()
+
+    def evaluate(payload):
+        # every orbit but the first waits until the pool is shut down
+        if payload[1] != first:
+            assert gate.wait(timeout=30)
+        evaluated.append(payload)
+        return real(payload)
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            gate.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(diagrams, "_evaluate_crossings", evaluate)
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
+    records = search_general(4, 3, threads=2)
+    assert next(records).diagram.crossings == first
+    records.close()
+    # the first orbit and at most one chunk in flight per worker; not all 49
+    assert len(evaluated) <= 3
 
 
 def test_generate_search_diagrams_deterministic_order():
