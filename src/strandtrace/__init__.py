@@ -5,18 +5,14 @@ traces and cross-checked against brute-force oracles."""
 __version__ = "0.1.0"
 
 from strandtrace.diagrams import (
-    Crossing,
     DiagramCombo,
     NonTraceableError,
     PartialCombo,
-    StrandDiagram,
     WeightedDiagram,
     closed_form_single_crossing,
     colored_permutations,
     diagram_csf,
-    format_diagram,
     iterate_trace_partial,
-    parse_diagram,
     partial_k,
     reduce_to_h,
     search_general,
@@ -38,6 +34,7 @@ from strandtrace.orders import (
     poset_from_lambda,
 )
 from strandtrace.oracle import ch_gamma, cycle_type, proper_coloring_count
+from strandtrace.strands import Crossing, StrandDiagram, format_diagram, parse_diagram
 from strandtrace.symfun import (
     Partition,
     SymFun,
@@ -45,7 +42,6 @@ from strandtrace.symfun import (
     e,
     h,
     is_h_positive,
-    multiply,
     omega,
     p,
     partitions_of,

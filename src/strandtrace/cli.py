@@ -23,7 +23,6 @@ from strandtrace import symfun
 from strandtrace.diagrams import (
     closed_form_single_crossing,
     diagram_csf,
-    format_diagram,
     iterate_trace_partial,
     reduce_to_h,
     search_general,
@@ -43,6 +42,7 @@ from strandtrace.orders import (
     poset_from_lambda,
 )
 from strandtrace.oracle import ch_gamma
+from strandtrace.strands import StrandDiagram, format_diagram
 from strandtrace.symfun import (
     Partition,
     SymFun,
@@ -112,8 +112,6 @@ def check_double_sum(max_ab):
 
 def check_closed_form(max_n, max_k):
     """Closed form == raw sums == brute-force iterated trace, for one crossing."""
-    from strandtrace.diagrams import StrandDiagram
-
     for n in range(2, max_n + 1):
         for k in range(0, max_k + 1):
             simplified = closed_form_single_crossing(n, k)
@@ -363,8 +361,8 @@ def cmd_search(args):
             }
             if not record.positive:
                 payload["witness"] = {
-                    "partition": record.witness[0],
-                    "coeff": record.witness[1],
+                    "partition": list(record.witness[0]),
+                    "coeff": str(record.witness[1]),
                 }
                 negatives.append(payload)
             out.write(_jsonl(payload) + "\n")

@@ -1,4 +1,5 @@
-"""Strand diagrams and the weighted-diagram trace calculus.
+"""The coloring sum and the weighted-diagram trace calculus on strand
+diagrams (built in ``strands``).
 
 A strand diagram is a bottom-to-top concatenation of crossings [i, j] on n
 strands; coloring every crossing with an arbitrary bijection of its strands
@@ -18,15 +19,17 @@ The h-positivity pipeline never expands traces fully: it rewrites
 the right-most strand) one crossing at a time through a closed form whose
 net coefficients are nonnegative, which certifies h-positivity of the final
 symmetric function.  Every state shares one diagram, so the reduction runs
-on one flat table {b: {h-partition: int}}; each closed-form entry is a single
-multiple of one h_q, applied by inserting q into the already sorted
-partitions, and each logged step is built once from the merged table.
+on one flat table {b: {h-partition: int}}; each closed-form entry is a
+pair (q, mult) of ints standing for mult * h_q, applied by inserting q into
+the already sorted partitions, and each logged step is built once from the
+merged table.  The reduction starts from ``orders.diagram_from_lambda``.
 
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
 reflection, which keep the multiset of composite cycle types, and its guard
 bounds the work of the coset census (``kernels.census_work``) summed over
-those orbits.
+those orbits.  Each orbit's ``is_h_positive`` verdict is handed to the
+caller as it was built, pickled when it comes from a worker process.
 """
 
 import os
@@ -39,97 +42,13 @@ from math import factorial
 from types import MappingProxyType
 from typing import NamedTuple
 
-from strandtrace import kernels, symfun
+from strandtrace import kernels, orders, symfun
 from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
 from strandtrace.oracle import cycle_type
+from strandtrace.strands import Crossing, StrandDiagram, _staircase_like, format_diagram
 from strandtrace.symfun import Partition, SymFun, _trusted_partition, h, is_h_positive, p, to_basis
 
 COLORING_GUARD = 10**7
-
-
-class Crossing(NamedTuple):
-    i: int
-    j: int
-
-    @property
-    def size(self):
-        return self.j - self.i + 1
-
-
-class StrandDiagram:
-    """Ordered (bottom to top) crossings on n strands; immutable."""
-
-    __slots__ = ("n", "crossings")
-
-    def __init__(self, n, crossings=()):
-        if n < 0:
-            raise ValueError("strand count must be nonnegative")
-        normalized = []
-        for c in crossings:
-            c = Crossing(int(c[0]), int(c[1]))
-            if not (1 <= c.i < c.j <= n):
-                raise ValueError("crossing %r does not fit on %d strands" % (tuple(c), n))
-            normalized.append(c)
-        self.n = n
-        self.crossings = tuple(normalized)
-
-    @classmethod
-    def _trusted(cls, n, crossings):
-        """The diagram on a tuple of Crossings that already fit on n strands;
-        nothing is checked or converted."""
-        diagram = object.__new__(cls)
-        diagram.n = n
-        diagram.crossings = crossings
-        return diagram
-
-    def is_staircase_like(self):
-        """Left and right endpoints both strictly increasing bottom to top."""
-        return _staircase_like(self.crossings)
-
-    def top(self):
-        """The last (right-most) crossing, or None."""
-        return self.crossings[-1] if self.crossings else None
-
-    def sort_key(self):
-        return (self.n, self.crossings)
-
-    def to_json_dict(self):
-        return {"n": self.n, "crossings": [list(c) for c in self.crossings]}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StrandDiagram)
-            and self.n == other.n
-            and self.crossings == other.crossings
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.crossings))
-
-    def __repr__(self):
-        return "StrandDiagram(%d, %s)" % (self.n, [tuple(c) for c in self.crossings])
-
-
-def format_diagram(diagram):
-    """Text form "n=4; [2,3] [1,2]" (crossings bottom to top)."""
-    body = " ".join("[%d,%d]" % (c.i, c.j) for c in diagram.crossings)
-    return "n=%d;%s" % (diagram.n, " " + body if body else "")
-
-
-def parse_diagram(text):
-    """Inverse of format_diagram."""
-    head, _, tail = text.partition(";")
-    head = head.strip()
-    if not head.startswith("n="):
-        raise ValueError("diagram text must start with 'n=': %r" % text)
-    n = int(head[2:])
-    crossings = []
-    for token in tail.replace(",", " ").replace("[", " ").replace("]", " ").split():
-        crossings.append(int(token))
-    if len(crossings) % 2:
-        raise ValueError("odd number of crossing endpoints in %r" % text)
-    pairs = list(zip(crossings[0::2], crossings[1::2]))
-    return StrandDiagram(n, pairs)
 
 
 class WeightedDiagram:
@@ -389,13 +308,6 @@ def diagram_csf(diagram, mode="distinct"):
 # ---------------------------------------------------------------------------
 
 
-def _staircase_like(crossings):
-    return all(
-        crossings[k].i < crossings[k + 1].i and crossings[k].j < crossings[k + 1].j
-        for k in range(len(crossings) - 1)
-    )
-
-
 def _insert_part(parts, m):
     """The weakly decreasing tuple ``parts`` with one more part m."""
     k = len(parts)
@@ -538,35 +450,32 @@ SINGLE_STRAND = StrandDiagram(1)
 
 @lru_cache(maxsize=None)
 def _closed_form_table(n, k):
-    """trace^{n-1}(partial_k [1,n]) as {b: h-basis coefficient of partial_b}.
+    """trace^{n-1}(partial_k [1,n]) as {b: (q, mult)}: the coefficient of
+    partial_b is mult * h_q.
 
     Accumulates, for i = 2..n, the contribution (i-1) h_{n-i} at index
-    k+i-1 and (k+i-n) h_{k+i-1} at index n-i, scaled by (n-2)!.  The
-    negative contributions cancel exactly; each surviving slot is a
-    nonnegative multiple of a single h; CertificateError otherwise.
-    Memoized, so every caller shares one read-only table.
+    k+i-1 and (k+i-n) h_{k+i-1} at index n-i, scaled by (n-2)!, as
+    {b: {q: int}}.  The negative contributions cancel exactly; each
+    surviving slot is a nonnegative multiple of a single h; CertificateError
+    otherwise.  Memoized, so every caller shares one read-only table.
     """
     acc = {}
-
-    def add(b, coeff):
-        acc[b] = acc.get(b, SymFun.zero("h")) + coeff
-
     for i in range(2, n + 1):
-        add(k + i - 1, (i - 1) * h(n - i))
-        add(n - i, (k + i - n) * h(k + i - 1))
+        for b, q, c in ((k + i - 1, n - i, i - 1), (n - i, k + i - 1, k + i - n)):
+            slot = acc.setdefault(b, {})
+            slot[q] = slot.get(q, 0) + c
     scale = factorial(n - 2)
     table = {}
-    for b, coeff in acc.items():
-        coeff = scale * coeff
-        if coeff.is_zero():
+    for b, slot in acc.items():
+        terms = {q: scale * c for q, c in slot.items() if c}
+        if not terms:
             continue
-        terms = coeff.coefficients()
         if len(terms) != 1 or any(c < 0 for c in terms.values()):
             raise CertificateError(
                 "net closed-form coefficient is not a nonnegative h multiple: "
-                "n=%d k=%d b=%d -> %r" % (n, k, b, coeff)
+                "n=%d k=%d b=%d -> {q: multiple of h_q} %r" % (n, k, b, terms)
             )
-        table[b] = coeff
+        (table[b],) = terms.items()
     return MappingProxyType(table)
 
 
@@ -584,7 +493,7 @@ def closed_form_single_crossing(n, k, raw=False):
         raise ValueError("k must be nonnegative")
     if not raw:
         return PartialCombo(
-            {(SINGLE_STRAND, b): coeff for b, coeff in _closed_form_table(n, k).items()}
+            {(SINGLE_STRAND, b): mult * h(q) for b, (q, mult) in _closed_form_table(n, k).items()}
         )
     scale = factorial(n - 2)
     terms = []
@@ -638,14 +547,12 @@ def reduce_to_h(shape, require_211=True):
     h-positivity.  Each step is logged as a PartialCombo built once from the
     merged table.  Returns the value and the step log.
     """
-    from strandtrace.orders import diagram_from_lambda, is_211_avoiding
-
-    if require_211 and not is_211_avoiding(shape):
+    if require_211 and not orders.is_211_avoiding(shape):
         raise ValueError(
             "shape %r is not 2+1+1-avoiding (pass require_211=False to try anyway)"
             % (shape,)
         )
-    start = diagram_from_lambda(shape)
+    start = orders.diagram_from_lambda(shape)
     crossings = start.crossings
     strands = start.n
     table = {0: {Partition(): 1}}
@@ -671,9 +578,8 @@ def reduce_to_h(shape, require_211=True):
                     % (tuple(crossings[-2]), tuple(top))
                 )
             for b, terms in table.items():
-                for b2, closed in _closed_form_table(top.size, b).items():
-                    ((q, mult),) = closed.coefficients().items()
-                    _add_h_multiple(new_table.setdefault(b2, {}), terms, q[0] if q else 0, mult)
+                for b2, (q, mult) in _closed_form_table(top.size, b).items():
+                    _add_h_multiple(new_table.setdefault(b2, {}), terms, q, mult)
             # right ends rise bottom to top, so every remaining crossing
             # fits on the top.i strands that are left
             crossings = crossings[:-1]
@@ -690,7 +596,7 @@ class SearchRecord(NamedTuple):
     diagram: StrandDiagram
     values: SymFun  # h basis
     positive: bool
-    witness: tuple | None
+    witness: tuple | None  # is_h_positive's (Partition, coeff)
 
 
 # Summed census work (kernels.census_work) that one sweep worker must have
@@ -728,14 +634,11 @@ def _worker_count(threads):
 
 
 def _evaluate_crossings(payload):
-    """(h coefficients as JSON, positive, witness) of one crossing sequence;
-    plain data, so that it crosses process boundaries."""
+    """The is_h_positive verdict of one crossing sequence's multiset coloring
+    sum.  It pickles as it stands (SymFun pickles through symfun._trusted),
+    so a worker returns it to the parent unchanged."""
     strands, crossings = payload
-    verdict = is_h_positive(diagram_csf(StrandDiagram(strands, crossings), "multiset"))
-    witness = None
-    if not verdict.positive:
-        witness = (list(verdict.witness[0]), str(verdict.witness[1]))
-    return symfun.to_json_dict(verdict.coefficients), verdict.positive, witness
+    return is_h_positive(diagram_csf(StrandDiagram(strands, crossings), "multiset"))
 
 
 def _probe():
@@ -770,12 +673,12 @@ def _orbit_key(strands, crossings):
 
 
 def _orbit_verdicts(strands, firsts, threads, work):
-    """Yield (h values, positive, witness) for each sequence of ``firsts``,
-    in order; a failure names the diagram it was evaluating.  ``work`` is
-    the summed census work of ``firsts``: each worker needs
-    _WORK_PER_WORKER of it, and with fewer than two workers the sequences
-    are evaluated in this process.  Leaving early cancels the chunks no
-    worker has started."""
+    """Yield the is_h_positive verdict of each sequence of ``firsts``, in
+    order, as _evaluate_crossings built it; a failure names the diagram it
+    was evaluating.  ``work`` is the summed census work of ``firsts``: each
+    worker needs _WORK_PER_WORKER of it, and with fewer than two workers the
+    sequences are evaluated in this process.  Leaving early cancels the
+    chunks no worker has started."""
     payloads = [(strands, crossings) for crossings in firsts]
     workers = min(_worker_count(threads), work // _WORK_PER_WORKER)
     pool = _start_pool(workers) if workers > 1 and len(payloads) > 1 else None
@@ -788,17 +691,13 @@ def _orbit_verdicts(strands, firsts, threads, work):
     try:
         for crossings in firsts:
             try:
-                coeff_json, positive, witness = next(results)
+                verdict = next(results)
             except Exception as exc:
                 exc.args = (
                     "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
                 )
                 raise
-            yield (
-                symfun.from_json_dict(coeff_json),
-                positive,
-                tuple(witness) if witness is not None else None,
-            )
+            yield verdict
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -838,7 +737,9 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
     and the reflection i -> n+1-i conjugates them by the longest
     permutation; all three keep the multiset of cycle types.  So each orbit
     they generate is evaluated once, on its first generated member, and
-    every diagram gets its orbit's result, in generation order.  Before any
+    every diagram gets its orbit's is_h_positive verdict (its h expansion,
+    sign and witness) as that was built, in generation order; a worker
+    hands it back pickled, with no other encoding.  Before any
     evaluation, the census work bounds (kernels.census_work) of those first
     members are summed and checked against COLORING_GUARD.  The same sum
     sizes the worker pool: min(cap, work // _WORK_PER_WORKER) processes,
@@ -873,6 +774,8 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
         for crossings, index in generated:
             if index == len(done):
                 done.append(next(verdicts))
-            yield SearchRecord(StrandDiagram(strands, crossings), *done[index])
+            verdict = done[index]
+            yield SearchRecord(StrandDiagram(strands, crossings), verdict.coefficients,
+                               verdict.positive, verdict.witness)
     finally:
         verdicts.close()

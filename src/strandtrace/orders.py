@@ -16,8 +16,8 @@ test suite.
 
 from itertools import combinations
 
-from strandtrace.diagrams import Crossing, StrandDiagram
 from strandtrace.errors import GuardExceededError
+from strandtrace.strands import Crossing, StrandDiagram
 from strandtrace.symfun import Partition, _trusted_partition, partition_sort_key
 
 PATTERN_GUARD = 12

@@ -99,7 +99,9 @@ class SymFun:
     the basis-change expansion ``_expand`` (merged in one table, zeros
     dropped once), ``oracle.ch_gamma``, and in ``diagrams`` the coloring
     sum ``diagram_csf``, the full trace ``trace_to_symfun`` and the
-    reduction's steps.
+    reduction's steps.  Pickling goes through ``_trusted`` too, so a copy
+    keeps its Partition keys and coefficient types and stays immutable;
+    this is how the sweep's workers hand back their verdicts.
     """
 
     __slots__ = ("basis", "_terms")
@@ -124,6 +126,9 @@ class SymFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFun is immutable")
+
+    def __reduce__(self):
+        return (_trusted, (self.basis, self._terms))
 
     # -- inspection ------------------------------------------------------
 
@@ -196,9 +201,6 @@ class SymFun:
             and self._terms == other._terms
         )
 
-    def __ne__(self, other):
-        return not self == other
-
     def __repr__(self):
         if not self._terms:
             return "SymFun(%r, 0)" % self.basis
@@ -258,11 +260,6 @@ def _single(basis, index):
             return SymFun.zero(basis)
         index = (index,) if index > 0 else ()
     return SymFun(basis, {Partition(index): 1})
-
-
-def multiply(f, g):
-    """Product of two SymFun values in the same (multiplicative) basis."""
-    return f * g
 
 
 # -- basis conversion ----------------------------------------------------

@@ -317,6 +317,30 @@ def test_search_stdout_records(capsys):
     assert "diagrams: 3" in err
 
 
+def test_search_reports_an_h_negative_diagram(capsys, tmp_path, monkeypatch):
+    real = diagrams.diagram_csf
+
+    def corrupted(diagram, mode="distinct"):
+        # p_2 p_1 = 2 h_{2,1} - h_{1,1,1}
+        if diagram.crossings == ((1, 3),):
+            return p((2, 1))
+        return real(diagram, mode)
+
+    monkeypatch.setattr(diagrams, "diagram_csf", corrupted)
+    out_path = tmp_path / "sweep.jsonl"
+    code, out, _ = run_cli(
+        capsys, ["search", "--strands", "3", "--max-crossings", "1", "--out", str(out_path)]
+    )
+    assert code == 1
+    assert "h-negative: 1" in out
+    lines = out_path.read_text().splitlines()
+    assert lines[1] == (
+        '{"crossings":[[1,3]],"h":[{"coeff":"2","partition":[2,1]},'
+        '{"coeff":"-1","partition":[1,1,1]}],"n":3,"positive":false,'
+        '"witness":{"coeff":"-1","partition":[1,1,1]}}'
+    )
+
+
 def test_search_random_seed_reproducible(capsys, tmp_path):
     args = [
         "search", "--strands", "4", "--max-crossings", "3",

@@ -547,7 +547,7 @@ def test_search_two_strand_powers():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_records_hold_int_coefficients(monkeypatch, threads):
-    # the values cross the pool as JSON and must come back as int
+    # the values cross the pool pickled and must come back as int
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     records = list(search_general(3, 2, threads=threads))
     assert records[0].values == 2 * h((2, 1))
@@ -611,10 +611,10 @@ def test_search_records_equal_evaluating_every_diagram(strands, max_crossings, o
     sequences = list(generate_search_diagrams(strands, max_crossings, **options))
     assert [r.diagram.crossings for r in records] == sequences
     for record, crossings in zip(records, sequences):
-        coeff_json, positive, witness = diagrams._evaluate_crossings((strands, crossings))
-        assert symfun.to_json_dict(record.values) == coeff_json
-        assert record.positive == positive
-        assert record.witness == (tuple(witness) if witness is not None else None)
+        verdict = diagrams._evaluate_crossings((strands, crossings))
+        assert symfun.to_json_dict(record.values) == symfun.to_json_dict(verdict.coefficients)
+        assert record.positive == verdict.positive
+        assert record.witness == verdict.witness
 
 
 def test_search_six_strands_three_crossings():

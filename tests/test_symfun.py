@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -369,6 +370,33 @@ def test_prop_json_round_trip(f):
     # whole numbers come back as int, whatever type they were written from
     for c in back.coefficients().values():
         assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+def _same_table(a, b):
+    """Equal tables whose keys are Partitions and whose coefficients keep
+    their types."""
+    assert a == b
+    for lam, c in a.coefficients().items():
+        assert type(lam) is Partition, lam
+        assert type(c) is type(b.coefficients()[lam]), (lam, c)
+
+
+@PROPERTY
+@given(st.sampled_from(BASES).flatmap(symfuns))
+def test_prop_pickle_round_trip(f):
+    back = pickle.loads(pickle.dumps(f))
+    _same_table(back, f)
+    with pytest.raises(AttributeError, match="immutable"):
+        back.basis = "p"
+    # the sweep's workers hand back is_h_positive verdicts this way
+    verdict = is_h_positive(f)
+    copy = pickle.loads(pickle.dumps(verdict))
+    assert copy.positive == verdict.positive
+    _same_table(copy.coefficients, verdict.coefficients)
+    assert copy.witness == verdict.witness
+    if copy.witness is not None:
+        assert type(copy.witness[0]) is Partition
+        assert type(copy.witness[1]) is type(verdict.witness[1])
 
 
 def merged(f):
