@@ -343,7 +343,13 @@ def cmd_search(args):
     else:
         out = sys.stdout
     total = 0
-    negatives = []
+    negatives = 0
+    counterexample = None
+    # every member of an orbit carries the same verdict objects, so the
+    # record's tail after "crossings" (keys sorted: h, n, positive, witness)
+    # is encoded once per orbit; each entry keeps its SymFun alive, so no
+    # id is reused while the cache holds it
+    tails = {}
     try:
         for record in search_general(
             args.strands,
@@ -353,19 +359,28 @@ def cmd_search(args):
             count=args.count,
         ):
             total += 1
-            payload = {
-                "n": record.diagram.n,
-                "crossings": [list(c) for c in record.diagram.crossings],
-                "h": symfun.to_json_dict(record.values)["terms"],
-                "positive": record.positive,
-            }
-            if not record.positive:
-                payload["witness"] = {
-                    "partition": list(record.witness[0]),
-                    "coeff": str(record.witness[1]),
+            cached = tails.get(id(record.values))
+            if cached is None:
+                payload = {
+                    "n": record.diagram.n,
+                    "h": symfun.to_json_dict(record.values)["terms"],
+                    "positive": record.positive,
                 }
-                negatives.append(payload)
-            out.write(_jsonl(payload) + "\n")
+                if not record.positive:
+                    payload["witness"] = {
+                        "partition": list(record.witness[0]),
+                        "coeff": str(record.witness[1]),
+                    }
+                cached = tails[id(record.values)] = (record.values, _jsonl(payload)[1:])
+            line = '{"crossings":[%s],%s' % (
+                ",".join(["[%d,%d]" % c for c in record.diagram.crossings]),
+                cached[1],
+            )
+            if not record.positive:
+                negatives += 1
+                if counterexample is None:
+                    counterexample = line
+            out.write(line + "\n")
     except BaseException:
         if args.out:
             out.close()
@@ -384,10 +399,10 @@ def cmd_search(args):
         "command: search",
         "strands: %d  max-crossings: %d  mode: %s  seed: %d"
         % (args.strands, args.max_crossings, args.mode, args.seed),
-        "diagrams: %d  h-negative: %d" % (total, len(negatives)),
+        "diagrams: %d  h-negative: %d" % (total, negatives),
     ]
     if negatives:
-        summary.append("counterexample: %s" % _jsonl(negatives[0]))
+        summary.append("counterexample: %s" % counterexample)
     stream = sys.stdout if args.out else sys.stderr
     stream.write("\n".join(summary) + "\n")
     return MATH_FAIL if negatives else OK

@@ -26,16 +26,18 @@ merged table.  The reduction starts from ``orders.diagram_from_lambda``.
 
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
-reflection, which keep the multiset of composite cycle types, and its guard
-bounds the work of the coset census (``kernels.census_work``) summed over
-those orbits.  Each orbit's ``is_h_positive`` verdict is handed to the
-caller as it was built, pickled when it comes from a worker process.
+reflection, which keep the multiset of composite cycle types, through the
+cycle-type census (``kernels.cycle_type_census``), which reads each
+last-crossing coset's cycle types without building its permutations.  Its
+guard bounds the work of the coset census (``kernels.census_work``) summed
+over those orbits.  Each orbit's ``is_h_positive`` verdict is handed to the
+caller as it was built, pickled when it comes from a worker process; the
+process pool is imported only when a sweep starts one.
 """
 
 import os
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import product
 from math import factorial
@@ -275,31 +277,43 @@ def _check_coloring_guard(work, what, *args):
         )
 
 
+def _guarded_crossings(diagram):
+    """The diagram's crossings as int pairs, once the census's own work
+    bound has been checked against COLORING_GUARD."""
+    crossings = [tuple(c) for c in diagram.crossings]
+    _check_coloring_guard(kernels.census_work(diagram.n, crossings), "%r", diagram)
+    return crossings
+
+
 def colored_permutations(diagram):
     """Multiset {permutation image tuple: multiplicity} of the composites of
     all colorings (bottom position -> top position, later crossings applied
     after earlier ones).  Guarded by the census's own work bound."""
-    crossings = [tuple(c) for c in diagram.crossings]
-    _check_coloring_guard(kernels.census_work(diagram.n, crossings), "%r", diagram)
-    return kernels.colored_census(diagram.n, crossings)
+    return kernels.colored_census(diagram.n, _guarded_crossings(diagram))
 
 
 def diagram_csf(diagram, mode="distinct"):
     """Sum of p_{cycletype} over colorings, in the power-sum basis.
 
-    mode="distinct" counts each composite permutation once; mode="multiset"
-    counts it with its coloring multiplicity.  Every count is positive, so
-    the cycle types are counted into one table that becomes the SymFun as
-    it stands.
+    mode="distinct" counts each composite permutation once, cycle-typing
+    every composite of the census; mode="multiset" counts it with its
+    coloring multiplicity, read from the cycle-type census
+    (``kernels.cycle_type_census``), which builds no single permutation.
+    Both are guarded by the coset census's work bound.  Every count is
+    positive, so the cycle types are counted into one table that becomes
+    the SymFun as it stands.
     """
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
-    census = colored_permutations(diagram)
-    multiset = mode == "multiset"
+    if mode == "multiset":
+        census = kernels.cycle_type_census(diagram.n, _guarded_crossings(diagram))
+        return symfun._trusted(
+            "p", {_trusted_partition(lam): count for lam, count in census.items()}
+        )
     table = {}
-    for images, count in census.items():
+    for images in colored_permutations(diagram):
         lam = cycle_type(images)
-        table[lam] = table.get(lam, 0) + (count if multiset else 1)
+        table[lam] = table.get(lam, 0) + 1
     return symfun._trusted("p", table)
 
 
@@ -600,16 +614,19 @@ class SearchRecord(NamedTuple):
 
 
 # Summed census work (kernels.census_work) that one sweep worker must have
-# for the pool to pay for its start, probe and shutdown.  Alternating
-# threads=1 / threads=2 pairs, each search_general run in a fresh process
+# for the pool to pay for its start, probe and shutdown.  The bound counts
+# an expansion to single permutations that the cycle-type census skips, so
+# it overstates a sweep's cost.  Alternating threads=1 / threads=2 pairs,
+# each search_general run in a fresh process with two workers forced
 # (2 cores, Python 3.11.7), medians in seconds:
-#   work 914 (4x3) 0.014 / 0.035; 5,058 (4x4) 0.058 / 0.073;
-#   9,785 (5x3) 0.063 / 0.090; 12,935 (6x2) 0.062 / 0.084;
-#   25,186 (4x5) 0.323 / 0.332; 107,045 (5x4) 0.581 / 0.629;
-#   113,788 (7x2) 0.362 / 0.401; 122,032 (6x3) 0.436 / 0.396;
-#   1,156,230 (8x2) 4.43 / 2.81; 2,297,543 (6x4) 7.34 / 4.33.
-# The 10^5 band is level within noise, so two workers start from 10^5 on.
-_WORK_PER_WORKER = 50_000
+#   work 914 (4x3) 0.007 / 0.064; 5,058 (4x4) 0.034 / 0.094;
+#   9,785 (5x3) 0.031 / 0.085; 12,935 (6x2) 0.014 / 0.068;
+#   25,186 (4x5) 0.194 / 0.284; 107,045 (5x4) 0.328 / 0.375;
+#   113,788 (7x2) 0.058 / 0.115; 122,032 (6x3) 0.154 / 0.222;
+#   1,041,451 (5x5) 2.78 / 2.42; 1,156,230 (8x2) 0.52 / 0.65;
+#   1,588,875 (7x3) 1.13 / 0.78; 2,297,543 (6x4) 2.49 / 1.68.
+# Two workers win from 10^6 on, except 8x2 (230 orbits, 0.13 s slower).
+_WORK_PER_WORKER = 500_000
 
 
 def crossing_alphabet(strands):
@@ -638,7 +655,15 @@ def _evaluate_crossings(payload):
     sum.  It pickles as it stands (SymFun pickles through symfun._trusted),
     so a worker returns it to the parent unchanged."""
     strands, crossings = payload
-    return is_h_positive(diagram_csf(StrandDiagram(strands, crossings), "multiset"))
+    return is_h_positive(diagram_csf(StrandDiagram._trusted(strands, crossings), "multiset"))
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first call:
+    importing it loads multiprocessing, which only a sweep on workers uses."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _probe():
@@ -663,12 +688,17 @@ def _start_pool(workers):
 
 def _orbit_key(strands, crossings):
     """The least sequence among the rotations and reversals of a crossing
-    sequence and of its reflection i -> strands+1-i."""
-    mirrored = tuple(Crossing(strands + 1 - j, strands + 1 - i) for i, j in crossings)
+    sequence and of its reflection i -> strands+1-i, as plain (i, j) pairs.
+    Only the rotations that start with the least pair can be the least."""
+    crossings = tuple(map(tuple, crossings))
+    top = strands + 1
+    mirrored = tuple([(top - j, top - i) for i, j in crossings])
+    least = min(min(crossings), min(mirrored))
     return min(
         seq[r:] + seq[:r]
         for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1])
-        for r in range(len(seq))
+        for r, c in enumerate(seq)
+        if c == least
     )
 
 
@@ -775,7 +805,7 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
             if index == len(done):
                 done.append(next(verdicts))
             verdict = done[index]
-            yield SearchRecord(StrandDiagram(strands, crossings), verdict.coefficients,
+            yield SearchRecord(StrandDiagram._trusted(strands, crossings), verdict.coefficients,
                                verdict.positive, verdict.witness)
     finally:
         verdicts.close()

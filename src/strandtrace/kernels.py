@@ -1,14 +1,18 @@
 """Enumeration kernels.
 
 The coloring census is built one crossing at a time over cosets of the
-last crossing's symmetric group; the restricted permutation census and the
-proper-coloring count are plain brute force, because they serve as the
-oracles.  Callers are responsible for work guards; ``census_work`` bounds
-what the coloring census does.
+last crossing's symmetric group (``_last_cosets``).  ``colored_census``
+expands each of those cosets to its single permutations;
+``cycle_type_census`` reads every coset's cycle types straight from its
+open paths and builds no permutation.  The restricted permutation census
+and the proper-coloring count are plain brute force, because they serve as
+the oracles.  Callers are responsible for work guards; ``census_work``
+bounds what the expanding census does, and so also the cycle-type census,
+which skips the final expansion.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from operator import itemgetter, not_
 
@@ -22,7 +26,99 @@ def colored_census(n, crossings):
     ``crossings`` is a bottom-to-top list of 1-based intervals (i, j); each
     coloring picks an arbitrary bijection of every crossing's strands, and
     the composite maps bottom positions to top positions (later crossings
-    act after earlier ones).  Returns {image-tuple: multiplicity}.
+    act after earlier ones).  Returns {image-tuple: multiplicity}, expanding
+    each of the last crossing's cosets (``_last_cosets``) to its |W|! single
+    permutations.
+    """
+    crossings = [(int(i), int(j)) for i, j in crossings]
+    if not crossings:
+        return {tuple(range(1, n + 1)): 1}
+    cosets, held = _last_cosets(n, crossings)
+    fills = list(permutations(held))
+    census = {}
+    for coset, count in cosets.items():
+        gather = _gather(tuple(map(not_, coset)))
+        for fill in fills:
+            census[gather(coset + fill)] = count
+    return census
+
+
+def cycle_type_census(n, crossings):
+    """Cycle-type census of the colorings of a diagram: {descending cycle
+    type: number of colorings whose composite has it}.
+
+    The same cosets as colored_census, but no single permutation is built.
+    In a coset of the last crossing W, following the composite from each
+    value of W runs along unmasked positions to a masked one: |W| open
+    paths, and the other positions close into cycles that avoid W.  Filling
+    the masked slots joins the paths by a permutation tau of S_|W|, and each
+    cycle of tau gives one cycle whose length is the sum of its paths'
+    lengths.  So a coset's distribution depends only on its sorted path
+    lengths (``_joined_cycles``), and cosets with the same paths and the
+    same avoiding cycles are merged before it is applied.
+    """
+    crossings = [(int(i), int(j)) for i, j in crossings]
+    if crossings:
+        cosets, held = _last_cosets(n, crossings)
+    else:
+        cosets, held = {tuple(range(1, n + 1)): 1}, ()
+    shapes = {}
+    for coset, count in cosets.items():
+        seen = [False] * (n + 1)
+        paths = []
+        for v in held:
+            size = 1
+            seen[v] = True
+            v = coset[v - 1]
+            while v:
+                seen[v] = True
+                size += 1
+                v = coset[v - 1]
+            paths.append(size)
+        cycles = []
+        for start in range(1, n + 1):
+            if not seen[start]:
+                size = 0
+                v = start
+                while not seen[v]:
+                    seen[v] = True
+                    size += 1
+                    v = coset[v - 1]
+                cycles.append(size)
+        paths.sort()
+        key = (tuple(paths), tuple(cycles))
+        shapes[key] = shapes.get(key, 0) + count
+    census = {}
+    for (paths, cycles), count in shapes.items():
+        for joined, ways in _joined_cycles(paths).items():
+            lam = tuple(sorted(joined + cycles, reverse=True))
+            census[lam] = census.get(lam, 0) + count * ways
+    return census
+
+
+@lru_cache(maxsize=None)
+def _joined_cycles(paths):
+    """{sorted cycle lengths: number of tau in S_k} over the ways tau joins k
+    open paths of the given lengths (a sorted tuple) into cycles.  The cycle
+    through the first path takes any s of the others in one of s! orders."""
+    if not paths:
+        return {(): 1}
+    first, rest = paths[0], paths[1:]
+    out = {}
+    for s in range(len(rest) + 1):
+        ways = factorial(s)
+        for chosen in combinations(range(len(rest)), s):
+            length = first + sum(rest[k] for k in chosen)
+            left = tuple(rest[k] for k in range(len(rest)) if k not in chosen)
+            for joined, count in _joined_cycles(left).items():
+                key = tuple(sorted(joined + (length,)))
+                out[key] = out.get(key, 0) + ways * count
+    return out
+
+
+def _last_cosets(n, crossings):
+    """The census over cosets of the last crossing's symmetric group, for a
+    nonempty list of int pairs: ({coset: count}, values of the last window).
 
     The census is the group-algebra product of the crossings' symmetrizers.
     Crossings act on values, so after a crossing W the counts are invariant
@@ -30,12 +126,8 @@ def colored_census(n, crossings):
     W's values masked to 0, carrying the count each of its |W|! elements
     has.  The next crossing W' places the values of W outside W' into the
     masked slots in every order (each placement stands for |W & W'|!
-    elements), masks W' and merges equal cosets.  Only the last crossing's
-    cosets are expanded to single permutations.
+    elements), masks W' and merges equal cosets.
     """
-    crossings = [(int(i), int(j)) for i, j in crossings]
-    if not crossings:
-        return {tuple(range(1, n + 1)): 1}
     i, j = crossings[0]
     cosets = {tuple(0 if i <= v <= j else v for v in range(1, n + 1)): 1}
     held = tuple(range(i, j + 1))  # the values masked in every coset
@@ -55,13 +147,7 @@ def colored_census(n, crossings):
                 layer[image] = layer.get(image, 0) + count
         cosets = layer
         held = tuple(range(i, j + 1))
-    fills = list(permutations(held))
-    census = {}
-    for coset, count in cosets.items():
-        gather = _gather(tuple(map(not_, coset)))
-        for fill in fills:
-            census[gather(coset + fill)] = count
-    return census
+    return cosets, held
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +163,8 @@ def _gather(slots):
 
 
 def census_work(n, crossings):
-    """Upper bound on the states colored_census creates for a diagram.
+    """Upper bound on the states colored_census creates for a diagram; the
+    cycle-type census creates all but the final expansion's.
 
     Each crossing costs its cosets times its placements, |W|! / |W & W'|!
     for the previous crossing W; the cosets after a crossing W' are at most

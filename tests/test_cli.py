@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -305,6 +306,30 @@ def test_search_writes_jsonl(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["--strands", "5", "--max-crossings", "3"],
+            "44343b2a6851e3d0d1fcc528a27dbb93cfcc3f984db5b899a58d4680a06520df",
+        ),
+        (
+            ["--strands", "4", "--max-crossings", "4", "--mode", "random", "--seed", "7",
+             "--count", "200"],
+            "5dc9a140e7b71a0f056dcf9eb75c65180414e473d80cb57e823d83f5a7a032a9",
+        ),
+    ],
+)
+def test_search_records_are_pinned(capsys, tmp_path, argv, digest):
+    """These sweeps' bytes as written by cycle-typing every composite of the
+    expanding census and encoding every record whole: the cycle-type census
+    and the once-per-orbit record tail must reproduce them exactly."""
+    out_path = tmp_path / "sweep.jsonl"
+    code, _, _ = run_cli(capsys, ["search", *argv, "--out", str(out_path)])
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_search_stdout_records(capsys):
     code, out, err = run_cli(capsys, ["search", "--strands", "2", "--max-crossings", "3"])
     assert code == 0
@@ -358,6 +383,33 @@ def test_search_guard(capsys):
     code, _, err = run_cli(capsys, ["search", "--strands", "9", "--max-crossings", "3"])
     assert code == 2
     assert "guard" in err
+
+
+def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, monkeypatch):
+    real = diagrams.diagram_csf
+
+    def corrupted(diagram, mode="distinct"):
+        # [1,2] is evaluated for its orbit, which holds its reflection [2,3]
+        if diagram.crossings == ((1, 2),):
+            return p((2, 1))
+        return real(diagram, mode)
+
+    monkeypatch.setattr(diagrams, "diagram_csf", corrupted)
+    out_path = tmp_path / "sweep.jsonl"
+    code, out, _ = run_cli(
+        capsys, ["search", "--strands", "3", "--max-crossings", "1", "--out", str(out_path)]
+    )
+    assert code == 1
+    tail = (
+        '"h":[{"coeff":"2","partition":[2,1]},{"coeff":"-1","partition":[1,1,1]}],'
+        '"n":3,"positive":false,"witness":{"coeff":"-1","partition":[1,1,1]}}'
+    )
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == '{"crossings":[[1,2]],' + tail
+    assert lines[2] == '{"crossings":[[2,3]],' + tail
+    assert json.loads(lines[1])["positive"]
+    assert "h-negative: 2" in out
+    assert "counterexample: %s\n" % lines[0] in out
 
 
 @pytest.mark.parametrize(

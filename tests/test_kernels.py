@@ -1,5 +1,6 @@
 """The kernels against brute force written out here: the coset-by-coset
 coloring census against composing every choice of window bijections, the
+cycle-type census against cycle-typing that census, the
 restricted-permutation census against all of S_n, and the proper-coloring
 count against all of [m]^n."""
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strandtrace import kernels
+from strandtrace import StrandDiagram, diagrams, kernels, symfun
 
 CENSUS_CASES = [
     (1, []),
@@ -134,6 +135,59 @@ def test_census_against_product_on_random_diagrams(diagram):
     n, crossings = diagram
     assume(prod(factorial(j - i + 1) for i, j in crossings) <= 20_000)
     assert kernels.colored_census(n, crossings) == census_reference(n, crossings)
+
+
+def cycle_types_of_census(n, crossings):
+    """The expanding route: cycle-type every composite of colored_census."""
+    counts = {}
+    for images, count in kernels.colored_census(n, crossings).items():
+        lam = kernels.cycle_type(images)
+        counts[lam] = counts.get(lam, 0) + count
+    return counts
+
+
+def test_cycle_type_census_hand_values():
+    assert kernels.cycle_type_census(0, []) == {(): 1}
+    assert kernels.cycle_type_census(3, []) == {(1, 1, 1): 1}
+    assert kernels.cycle_type_census(2, [(1, 2)]) == {(1, 1): 1, (2,): 1}
+    assert kernels.cycle_type_census(2, [(1, 2), (1, 2)]) == {(1, 1): 2, (2,): 2}
+    # S_3: one identity, three transpositions, two 3-cycles
+    assert kernels.cycle_type_census(3, [(1, 3)]) == {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
+
+
+@pytest.mark.parametrize("n,crossings", CENSUS_CASES)
+def test_cycle_type_census_against_the_expanding_census(n, crossings):
+    assert kernels.cycle_type_census(n, crossings) == cycle_types_of_census(n, crossings)
+
+
+@st.composite
+def sweep_diagrams(draw):
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return n, []
+    window = st.tuples(st.integers(1, n - 1), st.integers(2, n)).filter(lambda c: c[0] < c[1])
+    return n, draw(st.lists(window, max_size=5))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sweep_diagrams())
+def test_cycle_type_census_against_the_expanding_census_on_random_diagrams(diagram):
+    n, crossings = diagram
+    assume(kernels.census_work(n, crossings) <= 50_000)
+    assert kernels.cycle_type_census(n, crossings) == cycle_types_of_census(n, crossings)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(sweep_diagrams())
+def test_multiset_csf_matches_cycle_typing_every_composite(diagram):
+    n, crossings = diagram
+    assume(kernels.census_work(n, crossings) <= 50_000)
+    d = StrandDiagram(n, crossings)
+    table = {}
+    for images, count in diagrams.colored_permutations(d).items():
+        lam = diagrams.cycle_type(images)
+        table[lam] = table.get(lam, 0) + count
+    assert diagrams.diagram_csf(d, "multiset") == symfun.SymFun("p", table)
 
 
 def test_census_work_bounds_the_census():
