@@ -349,11 +349,13 @@ def _trace_step(n, crossings, table):
     if top is not None and top.j == n:
         shrunk = crossings[:-1]
         if top.j - 1 > top.i:
+            # the rest is still staircase-like: only the crossing below the
+            # shrunk top can now end as high as it
+            if shrunk and shrunk[-1].j >= top.j - 1:
+                raise NonTraceableError(
+                    "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
+                )
             shrunk = shrunk + (Crossing(top.i, top.j - 1),)
-        if not _staircase_like(shrunk):
-            raise NonTraceableError(
-                "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
-            )
         crossings = shrunk
         engaged = range(top.i - 1, n - 1)
     out = {}

@@ -6,9 +6,12 @@ expands each of those cosets to its single permutations;
 ``cycle_type_census`` reads every coset's cycle types straight from its
 open paths and builds no permutation.  The restricted permutation census
 and the proper-coloring count are plain brute force, because they serve as
-the oracles.  Callers are responsible for work guards; ``census_work``
-bounds what the expanding census does, and so also the cycle-type census,
-which skips the final expansion.
+the oracles: the census still visits every permutation one by one, but
+closes its cycles as it fills positions instead of walking it again.
+``cycle_type`` is the one walk over a whole permutation, and proves that
+its input is one as it walks.  Callers are responsible for work guards;
+``census_work`` bounds what the expanding census does, and so also the
+cycle-type census, which skips the final expansion.
 """
 
 from functools import lru_cache
@@ -186,47 +189,95 @@ def restricted_census(n, bounds):
     """Cycle-type census of permutations with restricted positions.
 
     Counts sigma in S_n with sigma(k) > bounds[k-1] for every k, grouped by
-    cycle type.  Returns {descending cycle-type tuple: count}.
+    cycle type; a bound below 0 restricts nothing.  Returns {descending
+    cycle-type tuple: count}.
+
+    Every sigma is still visited one by one, filling the most constrained
+    positions first, but its cycles close as the positions fill.  The
+    filled positions form open paths, one ending at each unfilled position
+    t and starting at an unused value ``head[t]``, with ``size[t]``
+    elements; the unused values are exactly these heads.  Filling position
+    k with its own head closes a cycle of ``size[k]``; filling it with the
+    head of t's path joins k's path to it.  The last two positions take the
+    two heads left in one of two ways: two cycles, or one cycle of the
+    summed length.  Each sigma's closed lengths are counted in the order
+    they closed and sorted once per distinct order at the end.
     """
-    bounds = [int(b) for b in bounds]
+    bounds = [max(int(b), 0) for b in bounds]
     if len(bounds) != n:
         raise ValueError("need one bound per position")
     if any(b >= n for b in bounds):
         return {}
-    # fill the most constrained positions first
-    order = sorted(range(n), key=lambda k: (-bounds[k], k))
-    images = [0] * n
-    used = [False] * (n + 1)
+    if n <= 1:
+        return {(1,) * n: 1}
+    # fill the most constrained positions first; positions and values are 1..n
+    order = sorted(range(1, n + 1), key=lambda k: (-bounds[k - 1], k))
+    last = n - 2
+    # per step: the position filled, its bound and the positions still open
+    steps = [(k, bounds[k - 1], order[idx:]) for idx, k in enumerate(order[:last])]
+    k1, k2 = order[last:]
+    b1, b2 = bounds[k1 - 1], bounds[k2 - 1]
+    head = list(range(n + 1))
+    size = [1] * (n + 1)
+    closed = []
     counts = {}
 
     def descend(idx):
-        if idx == n:
-            ct = cycle_type(images)
-            counts[ct] = counts.get(ct, 0) + 1
+        if idx == last:
+            h1, h2 = head[k1], head[k2]
+            if h1 > b1 and h2 > b2:
+                key = (*closed, size[k1], size[k2])
+                counts[key] = counts.get(key, 0) + 1
+            if h2 > b1 and h1 > b2:
+                key = (*closed, size[k1] + size[k2])
+                counts[key] = counts.get(key, 0) + 1
             return
-        k = order[idx]
-        for v in range(bounds[k] + 1, n + 1):
-            if not used[v]:
-                used[v] = True
-                images[k] = v
+        k, bound, open_ends = steps[idx]
+        h, s = head[k], size[k]
+        for t in open_ends:
+            v = head[t]
+            if v <= bound:
+                continue
+            if t == k:
+                closed.append(s)
                 descend(idx + 1)
-                used[v] = False
+                closed.pop()
+            else:
+                head[t] = h
+                size[t] += s
+                descend(idx + 1)
+                head[t] = v
+                size[t] -= s
 
     descend(0)
-    return counts
+    census = {}
+    for lengths, count in counts.items():
+        lam = tuple(sorted(lengths, reverse=True))
+        census[lam] = census.get(lam, 0) + count
+    return census
 
 
 def cycle_type(images):
-    """Descending cycle lengths of a permutation given as 1-based images."""
+    """Descending cycle lengths of a permutation given as 1-based images.
+
+    One checked walk proves the input is a permutation as it types it: each
+    walk starts at an unseen value and must come back to its start, and
+    raises ValueError if it first meets a value outside 1..n or one already
+    seen.  Walks that all return to their starts are exactly the cycles of a
+    permutation.
+    """
     n = len(images)
     seen = [False] * (n + 1)
     lengths = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
-        size = 0
-        cur = start
-        while not seen[cur]:
+        seen[start] = True
+        size = 1
+        cur = images[start - 1]
+        while cur != start:
+            if not 0 < cur <= n or seen[cur]:
+                raise ValueError("%r is not a permutation of 1..%d" % (images, n))
             seen[cur] = True
             cur = images[cur - 1]
             size += 1

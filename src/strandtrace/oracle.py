@@ -6,9 +6,9 @@ shape, and plain proper-coloring counts for its incomparability graph.
 
 The kernels already return canonical results (cycle types as descending
 tuples, a census with one positive count per cycle type), so ``cycle_type``
-(after checking that its input is a permutation) and ``ch_gamma`` wrap them
-with the trusted constructors of ``symfun`` instead of sorting and merging
-them again.
+and ``ch_gamma`` wrap them with the trusted constructors of ``symfun``
+instead of sorting and merging them again.  ``kernels.cycle_type`` proves
+that its input is a permutation in the same walk that types it.
 """
 
 from strandtrace import kernels
@@ -20,10 +20,8 @@ COLORING_COUNT_GUARD = 10**8  # proper_coloring_count explores <= m^n leaves
 
 
 def cycle_type(images):
-    """Cycle type of a permutation given as a tuple of 1-based images."""
-    n = len(images)
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError("%r is not a permutation of 1..%d" % (images, n))
+    """Cycle type of a permutation given as a tuple of 1-based images;
+    ValueError if it is not one (``kernels.cycle_type`` checks as it walks)."""
     return _trusted_partition(kernels.cycle_type(images))
 
 

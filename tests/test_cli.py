@@ -73,6 +73,20 @@ def test_compute_p_basis_and_oracle_route(capsys):
     assert "route: trace+oracle" in out
 
 
+def test_oracle_route_on_a_non_avoiding_shape_is_pinned(capsys):
+    """The bytes the oracle gave when it cycle-typed every permutation after
+    enumerating it: closing cycles during the enumeration must reproduce
+    them."""
+    code, out, _ = run_cli(
+        capsys,
+        ["compute", "--lambda", "3,1,1", "--n", "9", "--via", "oracle", "--basis", "p",
+         "--format", "json"],
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "727c95a0fa09d4d8dd874f0015063a96f228151370a6a9ddf2bccfb5f9b6c92d"
+
+
 def test_compute_non_avoiding_falls_back(capsys):
     code, out, err = run_cli(
         capsys, ["compute", "--lambda", "1", "--n", "4", "--via", "trace"]

@@ -3,7 +3,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -47,6 +47,7 @@ from strandtrace import (
 )
 from strandtrace.diagrams import SINGLE_STRAND, generate_search_diagrams
 from strandtrace.errors import GuardExceededError
+from strandtrace.strands import _staircase_like
 
 D21 = StrandDiagram(4, [(1, 2), (2, 3), (3, 4)])
 EXAMPLE_213_P = (
@@ -275,6 +276,36 @@ def test_trace_disjoint_top_crossing():
 def test_trace_non_traceable():
     with pytest.raises(NonTraceableError):
         trace_weighted(wd(4, [(1, 3), (2, 4)]))
+
+
+def staircase_diagrams_with_top_at(n, max_crossings):
+    """Every staircase-like diagram on n strands with 1..max_crossings
+    crossings whose top crossing ends at strand n."""
+    for k in range(1, max_crossings + 1):
+        for lefts in combinations(range(1, n), k):
+            for rights in combinations(range(2, n), k - 1):
+                rights += (n,)
+                if all(i < j for i, j in zip(lefts, rights)):
+                    yield StrandDiagram(n, list(zip(lefts, rights)))
+
+
+def test_trace_step_rejects_exactly_the_strips_that_leave_the_class():
+    seen = 0
+    for n in range(2, 7):
+        for d in staircase_diagrams_with_top_at(n, 4):
+            top = d.crossings[-1]
+            stripped = d.crossings[:-1]
+            if top.j - 1 > top.i:
+                stripped += (Crossing(top.i, top.j - 1),)
+            table = {((0,) * n, ()): 1}
+            if _staircase_like(stripped):
+                crossings, _ = diagrams._trace_step(n, d.crossings, table)
+                assert crossings == stripped
+            else:
+                with pytest.raises(NonTraceableError, match="leaves the staircase-like class"):
+                    diagrams._trace_step(n, d.crossings, table)
+            seen += 1
+    assert seen == 130
 
 
 def test_trace_combo_worked_example():

@@ -44,6 +44,8 @@ RESTRICTED_CASES = [
     (6, [0, 0, 0, 1, 3, 4]),
     (6, [0, 1, 2, 3, 4, 5]),
     (4, [0, 0, 4, 0]),  # unsatisfiable bound
+    (3, [-1, 0, 0]),  # negative bounds restrict nothing
+    (4, [-5, 1, -1, 2]),
 ]
 
 COLORING_CASES = [
@@ -205,12 +207,25 @@ def test_restricted_census_against_itertools(n, bounds):
 
 
 def test_python_restricted_against_itertools():
-    """Every bounds vector with entries in 0..n, for n <= 4."""
-    for n in range(1, 5):
-        for bounds in product(range(n + 1), repeat=n):
+    """Every bounds vector with entries in -1..n, for n <= 4; a negative
+    bound restricts nothing.  n <= 1 is answered directly, and at n = 2 only
+    the two-position finish runs."""
+    for n in range(0, 5):
+        for bounds in product(range(-1, n + 1), repeat=n):
             assert kernels.restricted_census(n, bounds) == restricted_reference(
                 n, bounds
             ), bounds
+
+
+def test_restricted_census_on_every_bounds_vector_below_n_at_n_5():
+    for bounds in product(range(5), repeat=5):
+        assert kernels.restricted_census(5, bounds) == restricted_reference(5, bounds), bounds
+
+
+def test_cycle_type_against_the_reference_on_every_permutation():
+    for n in range(8):
+        for images in permutations(range(1, n + 1)):
+            assert kernels.cycle_type(images) == cycle_type_reference(images), images
 
 
 @pytest.mark.parametrize("n,edges,m", COLORING_CASES)

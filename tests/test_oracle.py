@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -12,7 +12,9 @@ from strandtrace import (
     enumerate_shapes,
     h,
     incomparability_graph,
+    kernels,
     omega,
+    oracle,
     p,
     poset_from_lambda,
     proper_coloring_count,
@@ -29,6 +31,18 @@ def test_cycle_type_examples():
     assert cycle_type((2, 3, 4, 1)) == Partition((4,))
     with pytest.raises(ValueError):
         cycle_type((1, 1, 2))
+
+
+@pytest.mark.parametrize("walk", [kernels.cycle_type, oracle.cycle_type])
+def test_cycle_type_rejects_every_non_permutation(walk):
+    """Zero, n + 1, negative values and repeats, at every length 1..4."""
+    for n in range(1, 5):
+        identity = tuple(range(1, n + 1))
+        for images in product(range(-1, n + 2), repeat=n):
+            if tuple(sorted(images)) == identity:
+                continue
+            with pytest.raises(ValueError, match="is not a permutation of 1..%d" % n):
+                walk(images)
 
 
 def test_cycle_type_inverse_invariant():
@@ -55,8 +69,8 @@ def test_ch_gamma_extremes():
 
 
 def test_ch_gamma_against_direct_enumeration():
-    # independent re-derivation with itertools
-    for n in range(1, 6):
+    # independent re-derivation with itertools, on every shape up to n = 6
+    for n in range(1, 7):
         for shape in enumerate_shapes(n):
             bounds = [shape.part(n + 1 - k) for k in range(1, n + 1)]
             table = {}
