@@ -345,10 +345,11 @@ def cmd_search(args):
     total = 0
     negatives = 0
     counterexample = None
-    # every member of an orbit carries the same verdict objects, so the
-    # record's tail after "crossings" (keys sorted: h, n, positive, witness)
-    # is encoded once per orbit; each entry keeps its SymFun alive, so no
-    # id is reused while the cache holds it
+    # every member of an orbit carries the same verdict objects, and so do
+    # orbits with the same coloring sum walked in one run, so the record's
+    # tail after "crossings" (keys sorted: h, n, positive, witness) is
+    # encoded once per verdict; each entry keeps its SymFun alive, so no id
+    # is reused while the cache holds it
     tails = {}
     try:
         for record in search_general(

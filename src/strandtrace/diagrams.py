@@ -26,13 +26,17 @@ merged table.  The reduction starts from ``orders.diagram_from_lambda``.
 
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
-reflection, which keep the multiset of composite cycle types, through the
-cycle-type census (``kernels.cycle_type_census``), which reads each
-last-crossing coset's cycle types without building its permutations.  Its
-guard bounds the work of the coset census (``kernels.census_work``) summed
-over those orbits.  Each orbit's ``is_h_positive`` verdict is handed to the
-caller as it was built, pickled when it comes from a worker process; the
-process pool is imported only when a sweep starts one.
+reflection, which keep the multiset of composite cycle types; the first
+member of an orbit registers all of its images, so each later member is
+one lookup.  The first members are walked in order on one stack of coset
+layers (``kernels._next_cosets``), each keeping the layers of the prefix it
+shares with the one before, and each last layer's cycle types are read
+without building its permutations (``kernels._cycle_types_of_cosets``).
+The guard bounds the states that walk creates (``kernels.layer_bound``
+past each shared prefix, plus one per last coset).  Each orbit's
+``is_h_positive`` verdict is handed to the caller as it was built, pickled
+when it comes from a worker process; the process pool is imported only
+when a sweep starts one.
 """
 
 import os
@@ -277,11 +281,12 @@ def _check_coloring_guard(work, what, *args):
         )
 
 
-def _guarded_crossings(diagram):
+def _guarded_crossings(diagram, expand=True):
     """The diagram's crossings as int pairs, once the census's own work
-    bound has been checked against COLORING_GUARD."""
+    bound (``kernels.census_work``, with or without the final expansion to
+    single permutations) has been checked against COLORING_GUARD."""
     crossings = [tuple(c) for c in diagram.crossings]
-    _check_coloring_guard(kernels.census_work(diagram.n, crossings), "%r", diagram)
+    _check_coloring_guard(kernels.census_work(diagram.n, crossings, expand), "%r", diagram)
     return crossings
 
 
@@ -292,24 +297,28 @@ def colored_permutations(diagram):
     return kernels.colored_census(diagram.n, _guarded_crossings(diagram))
 
 
+def _csf_of_census(census):
+    """The power-sum SymFun of a cycle-type census {descending cycle type:
+    count}.  Every count is positive, so the census becomes the SymFun as
+    it stands."""
+    return symfun._trusted("p", {_trusted_partition(lam): count for lam, count in census.items()})
+
+
 def diagram_csf(diagram, mode="distinct"):
     """Sum of p_{cycletype} over colorings, in the power-sum basis.
 
     mode="distinct" counts each composite permutation once, cycle-typing
-    every composite of the census; mode="multiset" counts it with its
-    coloring multiplicity, read from the cycle-type census
-    (``kernels.cycle_type_census``), which builds no single permutation.
-    Both are guarded by the coset census's work bound.  Every count is
-    positive, so the cycle types are counted into one table that becomes
-    the SymFun as it stands.
+    every composite of the census, and is guarded by the census's work
+    bound with its expansion to single permutations.  mode="multiset"
+    counts each composite with its coloring multiplicity, read from the
+    last cosets' open paths (``kernels.cycle_type_census``); it builds no
+    single permutation, so its guard leaves the expansion out.
     """
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
     if mode == "multiset":
-        census = kernels.cycle_type_census(diagram.n, _guarded_crossings(diagram))
-        return symfun._trusted(
-            "p", {_trusted_partition(lam): count for lam, count in census.items()}
-        )
+        crossings = _guarded_crossings(diagram, expand=False)
+        return _csf_of_census(kernels.cycle_type_census(diagram.n, crossings))
     table = {}
     for images in colored_permutations(diagram):
         lam = cycle_type(images)
@@ -615,20 +624,19 @@ class SearchRecord(NamedTuple):
     witness: tuple | None  # is_h_positive's (Partition, coeff)
 
 
-# Summed census work (kernels.census_work) that one sweep worker must have
-# for the pool to pay for its start, probe and shutdown.  The bound counts
-# an expansion to single permutations that the cycle-type census skips, so
-# it overstates a sweep's cost.  Alternating threads=1 / threads=2 pairs,
-# each search_general run in a fresh process with two workers forced
-# (2 cores, Python 3.11.7), medians in seconds:
-#   work 914 (4x3) 0.007 / 0.064; 5,058 (4x4) 0.034 / 0.094;
-#   9,785 (5x3) 0.031 / 0.085; 12,935 (6x2) 0.014 / 0.068;
-#   25,186 (4x5) 0.194 / 0.284; 107,045 (5x4) 0.328 / 0.375;
-#   113,788 (7x2) 0.058 / 0.115; 122,032 (6x3) 0.154 / 0.222;
-#   1,041,451 (5x5) 2.78 / 2.42; 1,156,230 (8x2) 0.52 / 0.65;
-#   1,588,875 (7x3) 1.13 / 0.78; 2,297,543 (6x4) 2.49 / 1.68.
-# Two workers win from 10^6 on, except 8x2 (230 orbits, 0.13 s slower).
-_WORK_PER_WORKER = 500_000
+# Walk work (_plan_sweep's bound) that one sweep worker must have for the
+# pool to pay for its start, probe and shutdown.  Alternating threads=1 /
+# threads=2 pairs, each search_general run in a fresh process with two
+# workers forced (2 cores, Python 3.11.7), medians of 6 in seconds:
+#   work 342 (4x3) 0.005 / 0.052; 2,193 (4x4) 0.014 / 0.055;
+#   2,611 (6x2) 0.010 / 0.050; 3,135 (5x3) 0.015 / 0.055;
+#   11,157 (4x5) 0.085 / 0.150; 19,538 (7x2) 0.057 / 0.115;
+#   37,571 (6x3) 0.083 / 0.125; 41,048 (5x4) 0.149 / 0.214;
+#   200,220 (8x2) 0.441 / 0.495; 414,697 (5x5) 1.186 / 0.967;
+#   449,521 (7x3) 1.020 / 0.665; 800,639 (6x4) 1.585 / 0.947.
+# Serial wins up to 8x2 and two workers win from 5x5 on, so two workers
+# start from 300,000.
+_WORK_PER_WORKER = 150_000
 
 
 def crossing_alphabet(strands):
@@ -652,12 +660,59 @@ def _worker_count(threads):
     return os.cpu_count() or 1
 
 
-def _evaluate_crossings(payload):
-    """The is_h_positive verdict of one crossing sequence's multiset coloring
-    sum.  It pickles as it stands (SymFun pickles through symfun._trusted),
-    so a worker returns it to the parent unchanged."""
-    strands, crossings = payload
-    return is_h_positive(diagram_csf(StrandDiagram._trusted(strands, crossings), "multiset"))
+def _shared_depth(previous, crossings):
+    """The number of leading crossings two sequences share."""
+    depth = 0
+    for a, b in zip(previous, crossings):
+        if a != b:
+            break
+        depth += 1
+    return depth
+
+
+def _walk_verdicts(strands, firsts):
+    """Yield the is_h_positive verdict of each sequence of ``firsts``, in
+    order, from its multiset coloring sum; a failure names the diagram it
+    was evaluating.
+
+    A stack holds the (cosets, held) layer of each crossing of the last
+    sequence walked; each sequence keeps the layers of the prefix it shares
+    with the one before it and builds only the rest
+    (``kernels._first_cosets``, then ``kernels._next_cosets``).  Sequences
+    with the same cycle-type census share one verdict: 4,125 orbits of
+    6 x 4 have 397 distinct coloring sums.
+    """
+    stack = []
+    previous = ()
+    verdicts = {}  # frozenset of a census's items: its verdict
+    for crossings in firsts:
+        try:
+            del stack[_shared_depth(previous, crossings):]
+            for crossing in crossings[len(stack):]:
+                stack.append(
+                    kernels._next_cosets(strands, *stack[-1], crossing) if stack
+                    else kernels._first_cosets(strands, crossing)
+                )
+            census = kernels._cycle_types_of_cosets(strands, *stack[-1])
+            key = frozenset(census.items())
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = is_h_positive(_csf_of_census(census))
+        except Exception as exc:
+            exc.args = (
+                "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
+            )
+            raise
+        previous = crossings
+        yield verdict
+
+
+def _evaluate_run(payload):
+    """The verdicts of a contiguous run of first members, as a list: one
+    worker task.  They pickle as they stand (SymFun pickles through
+    symfun._trusted), so a worker returns them to the parent unchanged."""
+    strands, firsts = payload
+    return list(_walk_verdicts(strands, firsts))
 
 
 def ProcessPoolExecutor(max_workers):
@@ -688,51 +743,56 @@ def _start_pool(workers):
         return None
 
 
-def _orbit_key(strands, crossings):
-    """The least sequence among the rotations and reversals of a crossing
-    sequence and of its reflection i -> strands+1-i, as plain (i, j) pairs.
-    Only the rotations that start with the least pair can be the least."""
-    crossings = tuple(map(tuple, crossings))
+def _orbit_images(crossings, mirror):
+    """The rotations and reversals of a crossing sequence and of its
+    reflection, ``mirror`` mapping each crossing to its reflection: the
+    sequence's whole orbit, at most 4k sequences of k crossings."""
+    mirrored = tuple([mirror[c] for c in crossings])
+    images = []
+    for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1]):
+        images += [seq[r:] + seq[:r] for r in range(len(seq))]
+    return images
+
+
+def _orbit_indices(strands, sequences):
+    """Yield (crossings, orbit index) for each sequence, the orbits numbered
+    in the order their first members come.  A first member registers every
+    image of its orbit (_orbit_images), so each later member costs one
+    lookup."""
     top = strands + 1
-    mirrored = tuple([(top - j, top - i) for i, j in crossings])
-    least = min(min(crossings), min(mirrored))
-    return min(
-        seq[r:] + seq[:r]
-        for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1])
-        for r, c in enumerate(seq)
-        if c == least
-    )
+    mirror = {c: Crossing(top - c.j, top - c.i) for c in crossing_alphabet(strands)}
+    orbit_of = {}
+    orbits = 0
+    for crossings in sequences:
+        index = orbit_of.get(crossings)
+        if index is None:
+            index = orbits
+            orbits += 1
+            orbit_of.update(dict.fromkeys(_orbit_images(crossings, mirror), index))
+        yield crossings, index
 
 
 def _orbit_verdicts(strands, firsts, threads, work):
     """Yield the is_h_positive verdict of each sequence of ``firsts``, in
-    order, as _evaluate_crossings built it; a failure names the diagram it
-    was evaluating.  ``work`` is the summed census work of ``firsts``: each
-    worker needs _WORK_PER_WORKER of it, and with fewer than two workers the
-    sequences are evaluated in this process.  Leaving early cancels the
-    chunks no worker has started."""
-    payloads = [(strands, crossings) for crossings in firsts]
+    order, as _walk_verdicts built it.  ``work`` bounds the states that
+    walk creates (_plan_sweep): each worker needs _WORK_PER_WORKER of it, and
+    with fewer than two workers the whole list is walked in this process
+    as one run.  A pool gets contiguous runs, so that neighbours still
+    share their prefixes; leaving early cancels the runs no worker has
+    started."""
     workers = min(_worker_count(threads), work // _WORK_PER_WORKER)
-    pool = _start_pool(workers) if workers > 1 and len(payloads) > 1 else None
+    pool = _start_pool(workers) if workers > 1 and len(firsts) > 1 else None
     if pool is None:
-        results = map(_evaluate_crossings, payloads)
-    else:
-        # about four chunks per worker, so that every worker gets some
-        chunk = max(1, min(64, len(payloads) // (4 * workers)))
-        results = pool.map(_evaluate_crossings, payloads, chunksize=chunk)
+        yield from _walk_verdicts(strands, firsts)
+        return
+    # about four runs per worker, so that every worker gets some
+    size = max(1, min(64, len(firsts) // (4 * workers)))
+    runs = [(strands, firsts[k:k + size]) for k in range(0, len(firsts), size)]
     try:
-        for crossings in firsts:
-            try:
-                verdict = next(results)
-            except Exception as exc:
-                exc.args = (
-                    "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
-                )
-                raise
-            yield verdict
+        for verdicts in pool.map(_evaluate_run, runs):
+            yield from verdicts
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, count=100):
@@ -760,6 +820,43 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
         raise ValueError("mode must be 'exhaustive' or 'random'")
 
 
+def _plan_sweep(strands, max_crossings, mode, seed, count):
+    """The sweep before any evaluation: (generated, firsts, work).
+
+    ``generated`` holds (crossings, index of its orbit in firsts) for every
+    generated sequence, and ``firsts`` the orbits' first members in order.
+    ``work`` bounds the states _walk_verdicts creates for them: the step
+    costs (``kernels.layer_bound``) past the prefix each first member
+    shares with the one before it, plus one per last coset for its walk.
+    A stack of (coset bound, window) per depth, on (1, (1, 0)) for the empty
+    prefix, mirrors the walk's, and the sum is checked against
+    COLORING_GUARD as each first member is met.
+    """
+    generated = []
+    firsts = []
+    work = 0
+    stack = [(1, (1, 0))]  # (coset bound, window) per depth
+    previous = ()
+    sequences = generate_search_diagrams(strands, max_crossings, mode, seed, count)
+    for crossings, index in _orbit_indices(strands, sequences):
+        if index == len(firsts):
+            del stack[_shared_depth(previous, crossings) + 1:]
+            for crossing in crossings[len(stack) - 1:]:
+                cost, cosets = kernels.layer_bound(strands, *stack[-1], crossing)
+                work += cost
+                stack.append((cosets, crossing))
+            work += stack[-1][0]
+            firsts.append(crossings)
+            previous = crossings
+            _check_coloring_guard(
+                work,
+                "search with %d strands and up to %d crossings, first %d orbits",
+                strands, max_crossings, len(firsts),
+            )
+        generated.append((crossings, index))
+    return generated, firsts, work
+
+
 def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
                    threads=None):
     """Stream (diagram, h-expansion, verdict, witness) for generated diagrams.
@@ -772,34 +869,21 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
     every diagram gets its orbit's is_h_positive verdict (its h expansion,
     sign and witness) as that was built, in generation order; a worker
     hands it back pickled, with no other encoding.  Before any
-    evaluation, the census work bounds (kernels.census_work) of those first
-    members are summed and checked against COLORING_GUARD.  The same sum
+    evaluation, the states the walk of those first members creates are
+    bounded (_plan_sweep) and checked against COLORING_GUARD; no expansion
+    to single permutations is counted, since none is done.  The same bound
     sizes the worker pool: min(cap, work // _WORK_PER_WORKER) processes,
     where the cap is ``threads``, else STRAND_TRACE_THREADS, else the CPUs
     the process may run on; below two workers the sweep runs in this
-    process and starts none.  Results are independent of the worker count.
+    process and starts none.  A worker walks contiguous runs of first
+    members, so the first of each run rebuilds its shared prefix, which the
+    bound does not count.  Results are independent of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")
     if max_crossings < 1:
         raise ValueError("need at least one crossing")
-    generated = []  # (crossings, index of its orbit in firsts)
-    first_of = {}
-    firsts = []
-    work = 0
-    for crossings in generate_search_diagrams(strands, max_crossings, mode, seed, count):
-        key = _orbit_key(strands, crossings)
-        index = first_of.get(key)
-        if index is None:
-            index = first_of[key] = len(firsts)
-            firsts.append(crossings)
-            work += kernels.census_work(strands, crossings)
-            _check_coloring_guard(
-                work,
-                "search with %d strands and up to %d crossings, first %d orbits",
-                strands, max_crossings, len(firsts),
-            )
-        generated.append((crossings, index))
+    generated, firsts, work = _plan_sweep(strands, max_crossings, mode, seed, count)
     verdicts = _orbit_verdicts(strands, firsts, threads, work)
     done = []
     try:

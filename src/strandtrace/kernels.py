@@ -1,17 +1,22 @@
 """Enumeration kernels.
 
 The coloring census is built one crossing at a time over cosets of the
-last crossing's symmetric group (``_last_cosets``).  ``colored_census``
-expands each of those cosets to its single permutations;
-``cycle_type_census`` reads every coset's cycle types straight from its
-open paths and builds no permutation.  The restricted permutation census
+last crossing's symmetric group: ``_first_cosets`` is the first crossing's
+layer, ``_next_cosets`` the one step from a layer to the next, and
+``_last_cosets`` runs them over a diagram.  ``colored_census`` expands each
+of the last cosets to its single permutations; ``_cycle_types_of_cosets``
+reads every coset's cycle types straight from its open paths and builds no
+permutation, and ``cycle_type_census`` runs it on the last cosets.  The
+positivity sweep takes the steps itself, so that orbit representatives
+with a common prefix share its layers.  The restricted permutation census
 and the proper-coloring count are plain brute force, because they serve as
 the oracles: the census still visits every permutation one by one, but
 closes its cycles as it fills positions instead of walking it again.
 ``cycle_type`` is the one walk over a whole permutation, and proves that
-its input is one as it walks.  Callers are responsible for work guards;
-``census_work`` bounds what the expanding census does, and so also the
-cycle-type census, which skips the final expansion.
+its input is one as it walks.  Callers are responsible for work guards:
+``layer_bound`` bounds one step's work and cosets, and ``census_work``
+sums it, with or without the final expansion that only ``colored_census``
+does.
 """
 
 from functools import lru_cache
@@ -33,7 +38,6 @@ def colored_census(n, crossings):
     each of the last crossing's cosets (``_last_cosets``) to its |W|! single
     permutations.
     """
-    crossings = [(int(i), int(j)) for i, j in crossings]
     if not crossings:
         return {tuple(range(1, n + 1)): 1}
     cosets, held = _last_cosets(n, crossings)
@@ -50,21 +54,25 @@ def cycle_type_census(n, crossings):
     """Cycle-type census of the colorings of a diagram: {descending cycle
     type: number of colorings whose composite has it}.
 
-    The same cosets as colored_census, but no single permutation is built.
-    In a coset of the last crossing W, following the composite from each
-    value of W runs along unmasked positions to a masked one: |W| open
-    paths, and the other positions close into cycles that avoid W.  Filling
-    the masked slots joins the paths by a permutation tau of S_|W|, and each
-    cycle of tau gives one cycle whose length is the sum of its paths'
-    lengths.  So a coset's distribution depends only on its sorted path
-    lengths (``_joined_cycles``), and cosets with the same paths and the
-    same avoiding cycles are merged before it is applied.
+    The same cosets as colored_census, read by ``_cycle_types_of_cosets``:
+    no single permutation is built.
     """
-    crossings = [(int(i), int(j)) for i, j in crossings]
-    if crossings:
-        cosets, held = _last_cosets(n, crossings)
-    else:
-        cosets, held = {tuple(range(1, n + 1)): 1}, ()
+    return _cycle_types_of_cosets(n, *_last_cosets(n, crossings))
+
+
+def _cycle_types_of_cosets(n, cosets, held):
+    """Cycle-type census of the permutations in cosets of S_W, for W the
+    values ``held``: {descending cycle type: summed count}.
+
+    In a coset of W, following the composite from each value of W runs
+    along unmasked positions to a masked one: |W| open paths, and the other
+    positions close into cycles that avoid W.  Filling the masked slots
+    joins the paths by a permutation tau of S_|W|, and each cycle of tau
+    gives one cycle whose length is the sum of its paths' lengths.  So a
+    coset's distribution depends only on its sorted path lengths
+    (``_joined_cycles``), and cosets with the same paths and the same
+    avoiding cycles are merged before it is applied.
+    """
     shapes = {}
     for coset, count in cosets.items():
         seen = [False] * (n + 1)
@@ -120,8 +128,28 @@ def _joined_cycles(paths):
 
 
 def _last_cosets(n, crossings):
-    """The census over cosets of the last crossing's symmetric group, for a
-    nonempty list of int pairs: ({coset: count}, values of the last window).
+    """The census over cosets of the last crossing's symmetric group:
+    ({coset: count}, values of the last window).  The first crossing's
+    layer, then ``_next_cosets`` for each later crossing; the empty diagram
+    has the identity coset of the trivial group, with no values held."""
+    if not crossings:
+        return {tuple(range(1, n + 1)): 1}, ()
+    cosets, held = _first_cosets(n, crossings[0])
+    for crossing in crossings[1:]:
+        cosets, held = _next_cosets(n, cosets, held, crossing)
+    return cosets, held
+
+
+def _first_cosets(n, crossing):
+    """The layer of a first crossing W, the one coset of S_W through the
+    identity: what _next_cosets makes of the identity coset."""
+    i, j = int(crossing[0]), int(crossing[1])
+    return {tuple([0 if i <= v <= j else v for v in range(1, n + 1)]): 1}, tuple(range(i, j + 1))
+
+
+def _next_cosets(n, cosets, held, crossing):
+    """One crossing's layer: the cosets after ``crossing`` from the cosets
+    of S_W before it, W the values ``held``; returns (cosets, held) again.
 
     The census is the group-algebra product of the crossings' symmetrizers.
     Crossings act on values, so after a crossing W the counts are invariant
@@ -131,26 +159,21 @@ def _last_cosets(n, crossings):
     masked slots in every order (each placement stands for |W & W'|!
     elements), masks W' and merges equal cosets.
     """
-    i, j = crossings[0]
-    cosets = {tuple(0 if i <= v <= j else v for v in range(1, n + 1)): 1}
-    held = tuple(range(i, j + 1))  # the values masked in every coset
-    for i, j in crossings[1:]:
-        placed = [v for v in held if not i <= v <= j]
-        zeros = [0] * (len(held) - len(placed))
-        fills = list(dict.fromkeys(permutations(placed + zeros)))
-        weight = factorial(len(zeros))
-        mask = [0 if i <= v <= j else v for v in range(n + 1)].__getitem__
-        layer = {}
-        for coset, count in cosets.items():
-            gather = _gather(tuple(map(not_, coset)))
-            base = tuple(map(mask, coset))
-            count *= weight
-            for fill in fills:
-                image = gather(base + fill)
-                layer[image] = layer.get(image, 0) + count
-        cosets = layer
-        held = tuple(range(i, j + 1))
-    return cosets, held
+    i, j = int(crossing[0]), int(crossing[1])
+    placed = [v for v in held if not i <= v <= j]
+    zeros = [0] * (len(held) - len(placed))
+    fills = list(dict.fromkeys(permutations(placed + zeros)))
+    weight = factorial(len(zeros))
+    mask = [0 if i <= v <= j else v for v in range(n + 1)].__getitem__
+    layer = {}
+    for coset, count in cosets.items():
+        gather = _gather(tuple(map(not_, coset)))
+        base = tuple(map(mask, coset))
+        count *= weight
+        for fill in fills:
+            image = gather(base + fill)
+            layer[image] = layer.get(image, 0) + count
+    return layer, tuple(range(i, j + 1))
 
 
 @lru_cache(maxsize=None)
@@ -165,24 +188,34 @@ def _gather(slots):
     return itemgetter(*index)
 
 
-def census_work(n, crossings):
-    """Upper bound on the states colored_census creates for a diagram; the
-    cycle-type census creates all but the final expansion's.
+def layer_bound(n, cosets, previous, crossing):
+    """(cost, coset bound) of the ``_next_cosets`` step for ``crossing``
+    from at most ``cosets`` cosets of the window ``previous``, (1, 0)
+    before the first crossing.
 
-    Each crossing costs its cosets times its placements, |W|! / |W & W'|!
-    for the previous crossing W; the cosets after a crossing W' are at most
-    n! / |W'|!.  The last crossing's cosets then expand by |W'|! each.
+    A step costs its cosets times its placements, |W|! / |W & W'|! for the
+    previous window W (one on the identity coset), and leaves at most
+    min(cost, n! / |W'|!) cosets.
     """
-    work, cosets = 0, 1
-    lo, hi = 1, 0  # the previous window, empty before the first crossing
-    for i, j in crossings:
-        i, j = int(i), int(j)
-        overlap = max(0, min(j, hi) - max(i, lo) + 1)
-        placements = factorial(hi - lo + 1) // factorial(overlap)
-        work += cosets * placements
-        cosets = min(cosets * placements, factorial(n) // factorial(j - i + 1))
-        lo, hi = i, j
-    return work + cosets * factorial(hi - lo + 1)
+    lo, hi = previous
+    i, j = int(crossing[0]), int(crossing[1])
+    overlap = max(0, min(j, hi) - max(i, lo) + 1)
+    cost = cosets * (factorial(hi - lo + 1) // factorial(overlap))
+    return cost, min(cost, factorial(n) // factorial(j - i + 1))
+
+
+def census_work(n, crossings, expand=True):
+    """Upper bound on the states a census of a diagram creates: every
+    step's cost (``layer_bound``), then one state per last coset, or with
+    ``expand`` the |W|! single permutations colored_census expands each
+    last coset of a crossing W to."""
+    work, cosets, previous = 0, 1, (1, 0)
+    for crossing in crossings:
+        cost, cosets = layer_bound(n, cosets, previous, crossing)
+        work += cost
+        previous = int(crossing[0]), int(crossing[1])
+    lo, hi = previous
+    return work + cosets * (factorial(hi - lo + 1) if expand else 1)
 
 
 def restricted_census(n, bounds):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from strandtrace import cli, diagrams, p
+from strandtrace import cli, diagrams, kernels, p
 from strandtrace.cli import main
 
 
@@ -357,15 +357,15 @@ def test_search_stdout_records(capsys):
 
 
 def test_search_reports_an_h_negative_diagram(capsys, tmp_path, monkeypatch):
-    real = diagrams.diagram_csf
+    real = kernels._cycle_types_of_cosets
 
-    def corrupted(diagram, mode="distinct"):
-        # p_2 p_1 = 2 h_{2,1} - h_{1,1,1}
-        if diagram.crossings == ((1, 3),):
-            return p((2, 1))
-        return real(diagram, mode)
+    def corrupted(n, cosets, held):
+        # p_2 p_1 = 2 h_{2,1} - h_{1,1,1}; on 3 strands only [1,3] holds all three values
+        if held == (1, 2, 3):
+            return {(2, 1): 1}
+        return real(n, cosets, held)
 
-    monkeypatch.setattr(diagrams, "diagram_csf", corrupted)
+    monkeypatch.setattr(kernels, "_cycle_types_of_cosets", corrupted)
     out_path = tmp_path / "sweep.jsonl"
     code, out, _ = run_cli(
         capsys, ["search", "--strands", "3", "--max-crossings", "1", "--out", str(out_path)]
@@ -400,15 +400,16 @@ def test_search_guard(capsys):
 
 
 def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, monkeypatch):
-    real = diagrams.diagram_csf
+    real = kernels._cycle_types_of_cosets
 
-    def corrupted(diagram, mode="distinct"):
-        # [1,2] is evaluated for its orbit, which holds its reflection [2,3]
-        if diagram.crossings == ((1, 2),):
-            return p((2, 1))
-        return real(diagram, mode)
+    def corrupted(n, cosets, held):
+        # [1,2] is evaluated for its orbit, which holds its reflection [2,3];
+        # p_2 p_1 = 2 h_{2,1} - h_{1,1,1}
+        if held == (1, 2):
+            return {(2, 1): 1}
+        return real(n, cosets, held)
 
-    monkeypatch.setattr(diagrams, "diagram_csf", corrupted)
+    monkeypatch.setattr(kernels, "_cycle_types_of_cosets", corrupted)
     out_path = tmp_path / "sweep.jsonl"
     code, out, _ = run_cli(
         capsys, ["search", "--strands", "3", "--max-crossings", "1", "--out", str(out_path)]
@@ -429,8 +430,11 @@ def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, mo
 @pytest.mark.parametrize(
     "argv",
     [
+        # 9 x 3 and 7 x 4 bound a walk work of 82,541,509 and 15,091,752,
+        # over the 10^7 guard
         ["search", "--strands", "9", "--max-crossings", "3"],
         ["search", "--strands", "1", "--max-crossings", "3"],
+        ["search", "--strands", "7", "--max-crossings", "4"],
     ],
 )
 def test_rejected_search_keeps_existing_out(capsys, tmp_path, argv):

@@ -33,6 +33,7 @@ from strandtrace import (
     incomparability_graph,
     is_h_positive,
     iterate_trace_partial,
+    kernels,
     p,
     parse_diagram,
     partial_k,
@@ -134,6 +135,14 @@ def test_mass_conservation():
 def test_coloring_guard():
     with pytest.raises(GuardExceededError):
         colored_permutations(StrandDiagram(11, [(1, 11)]))
+
+
+def test_multiset_guard_leaves_out_the_expansion():
+    # 120 last cosets of S_9: 43,545,721 states expanded, 241 without
+    d = StrandDiagram(13, [(1, 5), (5, 13)])
+    with pytest.raises(GuardExceededError):
+        diagram_csf(d, "distinct")
+    assert sum(diagram_csf(d, "multiset").coefficients().values()) == factorial(5) * factorial(9)
 
 
 # -- diagram_csf -------------------------------------------------------------
@@ -642,15 +651,55 @@ def test_search_records_equal_evaluating_every_diagram(strands, max_crossings, o
     sequences = list(generate_search_diagrams(strands, max_crossings, **options))
     assert [r.diagram.crossings for r in records] == sequences
     for record, crossings in zip(records, sequences):
-        verdict = diagrams._evaluate_crossings((strands, crossings))
+        verdict = is_h_positive(diagram_csf(StrandDiagram(strands, crossings), "multiset"))
         assert symfun.to_json_dict(record.values) == symfun.to_json_dict(verdict.coefficients)
         assert record.positive == verdict.positive
         assert record.witness == verdict.witness
 
 
+def least_image(strands, crossings):
+    """The least sequence among the rotations and reversals of a crossing
+    sequence and of its reflection i -> strands+1-i: a key of its orbit,
+    kept as a reference for the sweep's orbit table."""
+    crossings = tuple(map(tuple, crossings))
+    top = strands + 1
+    mirrored = tuple([(top - j, top - i) for i, j in crossings])
+    return min(
+        seq[r:] + seq[:r]
+        for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1])
+        for r in range(len(seq))
+    )
+
+
+@pytest.mark.parametrize(
+    "strands,max_crossings,options",
+    [(5, 3, {}), (4, 4, {}), (3, 5, {}), (4, 4, {"mode": "random", "seed": 7, "count": 500})],
+)
+def test_orbit_table_splits_like_the_least_image(strands, max_crossings, options):
+    sequences = list(generate_search_diagrams(strands, max_crossings, **options))
+    keys = {}
+    expected = [keys.setdefault(least_image(strands, c), len(keys)) for c in sequences]
+    indexed = list(diagrams._orbit_indices(strands, sequences))
+    assert [crossings for crossings, _ in indexed] == sequences
+    assert [index for _, index in indexed] == expected
+
+
+@pytest.mark.parametrize(
+    "strands,max_crossings,work,orbits,records",
+    # 8 x 3 runs under the guard; 7 x 4 and 9 x 3 do not
+    [(4, 3, 342, 49, 258), (8, 3, 6_011_049, 2_294, 22_764)],
+)
+def test_sweep_bounds_the_walk_of_its_first_members(
+    strands, max_crossings, work, orbits, records
+):
+    generated, firsts, bound = diagrams._plan_sweep(strands, max_crossings, "exhaustive", 0, 0)
+    assert (bound, len(firsts), len(generated)) == (work, orbits, records)
+    assert bound <= diagrams.COLORING_GUARD
+
+
 def test_search_six_strands_three_crossings():
     """6!**3 colorings of the widest sequence would exceed COLORING_GUARD;
-    the census work summed over the 429 orbits is about 1.2e5."""
+    the walk over the 429 orbits is bounded by 37,571 states."""
     records = list(search_general(6, 3, threads=1))
     assert len(records) == 3615
     for record in records:
@@ -664,32 +713,40 @@ def test_search_six_strands_three_crossings():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_failure_names_the_diagram(monkeypatch, threads):
-    real = diagrams.diagram_csf
+    real = kernels._next_cosets
 
-    def failing(diagram, mode="distinct"):
-        if diagram.crossings == ((1, 2), (1, 3)):
+    def failing(n, cosets, held, crossing):
+        # the step from [1,2] to [1,3]: only n=3; [1,2] [1,3] walks it
+        if held == (1, 2) and crossing == (1, 3):
             raise ValueError("no census")
-        return real(diagram, mode)
+        return real(n, cosets, held, crossing)
 
-    monkeypatch.setattr(diagrams, "diagram_csf", failing)
+    monkeypatch.setattr(kernels, "_next_cosets", failing)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.raises(ValueError, match=r"evaluating n=3; \[1,2\] \[1,3\]: no census"):
         list(search_general(3, 2, threads=threads))
 
 
 def test_search_pool_chunks_reach_every_worker(monkeypatch):
-    chunks = []
+    runs = []
 
     class Pool(ThreadPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1):
-            chunks.append(chunksize)
-            return super().map(fn, *iterables)
+        def map(self, fn, payloads):
+            runs.append([len(firsts) for _, firsts in payloads])
+            return super().map(fn, payloads)
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     assert list(search_general(4, 3, threads=2)) == list(search_general(4, 3, threads=1))
-    # 49 orbits on 2 workers
-    assert chunks == [6]
+    # 49 orbits on 2 workers, in contiguous runs of 6
+    assert runs == [[6] * 8 + [1]]
+
+
+def test_orbits_with_equal_coloring_sums_share_a_verdict():
+    records = list(search_general(4, 3, threads=1))
+    sums = {tuple(sorted(r.values.coefficients().items())) for r in records}
+    # 49 orbits, 30 distinct coloring sums
+    assert len(sums) == len({id(r.values) for r in records}) == 30
 
 
 def test_small_search_runs_in_process(monkeypatch):
@@ -700,15 +757,15 @@ def test_small_search_runs_in_process(monkeypatch):
         raise OSError("no processes")
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
-    # 49 orbits with a summed census work of 914, far below two workers' worth
+    # 49 orbits with a summed walk work of 342, far below two workers' worth
     assert len(list(search_general(4, 3, threads=2))) == 6 + 6**2 + 6**3
     assert started == []
 
 
 @pytest.mark.parametrize(
     "threads,work_per_worker,workers",
-    # 4 x 3 sums a census work of 914 over its 49 orbits
-    [(2, 1, 2), (8, 300, 3), (8, 457, 2), (2, 458, None), (1, 1, None)],
+    # 4 x 3 sums a walk work of 342 over its 49 orbits
+    [(2, 1, 2), (8, 100, 3), (8, 171, 2), (2, 172, None), (1, 1, None)],
 )
 def test_search_worker_count_follows_the_census_work(
     monkeypatch, threads, work_per_worker, workers
@@ -727,14 +784,14 @@ def test_search_worker_count_follows_the_census_work(
 
 
 def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
-    real = diagrams._evaluate_crossings
+    real = diagrams._evaluate_run
     first = (Crossing(1, 2),)
     evaluated = []
     gate = threading.Event()
 
     def evaluate(payload):
-        # every orbit but the first waits until the pool is shut down
-        if payload[1] != first:
+        # every run but the first waits until the pool is shut down
+        if payload[1][0] != first:
             assert gate.wait(timeout=30)
         evaluated.append(payload)
         return real(payload)
@@ -745,13 +802,13 @@ def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
             gate.set()
             super().shutdown(wait=wait)
 
-    monkeypatch.setattr(diagrams, "_evaluate_crossings", evaluate)
+    monkeypatch.setattr(diagrams, "_evaluate_run", evaluate)
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     records = search_general(4, 3, threads=2)
     assert next(records).diagram.crossings == first
     records.close()
-    # the first orbit and at most one chunk in flight per worker; not all 49
+    # the first run and at most one run in flight per worker; not all 9
     assert len(evaluated) <= 3
 
 

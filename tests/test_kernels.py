@@ -179,6 +179,33 @@ def test_cycle_type_census_against_the_expanding_census_on_random_diagrams(diagr
     assert kernels.cycle_type_census(n, crossings) == cycle_types_of_census(n, crossings)
 
 
+def test_first_layer_is_the_step_from_the_identity():
+    for n in range(2, 6):
+        for crossing in combinations(range(1, n + 1), 2):
+            step = kernels._next_cosets(n, {tuple(range(1, n + 1)): 1}, (), crossing)
+            assert kernels._first_cosets(n, crossing) == step
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sweep_diagrams())
+def test_layer_bound_covers_every_step(diagram):
+    """Chained from the identity coset, each step's bound is at least the
+    cosets it starts from times its distinct fills, and its coset bound at
+    least the cosets it leaves."""
+    n, crossings = diagram
+    assume(kernels.census_work(n, crossings, expand=False) <= 50_000)
+    cosets, held = {tuple(range(1, n + 1)): 1}, ()
+    bound, previous = 1, (1, 0)
+    for i, j in crossings:
+        placed = [v for v in held if not i <= v <= j]
+        fills = set(permutations(placed + [0] * (len(held) - len(placed))))
+        cost, bound = kernels.layer_bound(n, bound, previous, (i, j))
+        assert cost >= len(cosets) * len(fills)
+        cosets, held = kernels._next_cosets(n, cosets, held, (i, j))
+        assert bound >= len(cosets)
+        previous = (i, j)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(sweep_diagrams())
 def test_multiset_csf_matches_cycle_typing_every_composite(diagram):
@@ -197,6 +224,10 @@ def test_census_work_bounds_the_census():
     assert kernels.census_work(11, [(1, 11)]) == 1 + factorial(11)
     # one coset after [1,2], two placements of its values for [3,4], 2! each
     assert kernels.census_work(4, [(1, 2), (3, 4)]) == 1 + 2 + 2 * 2
+    # without the expansion, one state per last coset
+    assert kernels.census_work(4, [], expand=False) == 1
+    assert kernels.census_work(11, [(1, 11)], expand=False) == 1 + 1
+    assert kernels.census_work(4, [(1, 2), (3, 4)], expand=False) == 1 + 2 + 2
     for n, crossings in CENSUS_CASES:
         assert kernels.census_work(n, crossings) >= len(kernels.colored_census(n, crossings))
 
