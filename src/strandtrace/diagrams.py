@@ -33,7 +33,8 @@ layers (``kernels._next_cosets``), each keeping the layers of the prefix it
 shares with the one before, and each last layer's cycle types are read
 without building its permutations (``kernels._cycle_types_of_cosets``).
 The guard bounds the states that walk creates (``kernels.layer_bound``
-past each shared prefix, plus one per last coset).  Each orbit's
+past each shared prefix, plus one per last coset and |W|! per width of a
+last window W, for its joined-cycles table).  Each orbit's
 ``is_h_positive`` verdict is handed to the caller as it was built, pickled
 when it comes from a worker process; the process pool is imported only
 when a sweep starts one.
@@ -312,7 +313,8 @@ def diagram_csf(diagram, mode="distinct"):
     bound with its expansion to single permutations.  mode="multiset"
     counts each composite with its coloring multiplicity, read from the
     last cosets' open paths (``kernels.cycle_type_census``); it builds no
-    single permutation, so its guard leaves the expansion out.
+    single permutation, so its guard leaves the expansion out and counts
+    the joined-cycles table of the last window instead.
     """
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
@@ -628,12 +630,12 @@ class SearchRecord(NamedTuple):
 # pool to pay for its start, probe and shutdown.  Alternating threads=1 /
 # threads=2 pairs, each search_general run in a fresh process with two
 # workers forced (2 cores, Python 3.11.7), medians of 6 in seconds:
-#   work 342 (4x3) 0.005 / 0.052; 2,193 (4x4) 0.014 / 0.055;
-#   2,611 (6x2) 0.010 / 0.050; 3,135 (5x3) 0.015 / 0.055;
-#   11,157 (4x5) 0.085 / 0.150; 19,538 (7x2) 0.057 / 0.115;
-#   37,571 (6x3) 0.083 / 0.125; 41,048 (5x4) 0.149 / 0.214;
-#   200,220 (8x2) 0.441 / 0.495; 414,697 (5x5) 1.186 / 0.967;
-#   449,521 (7x3) 1.020 / 0.665; 800,639 (6x4) 1.585 / 0.947.
+#   work 374 (4x3) 0.005 / 0.052; 2,225 (4x4) 0.014 / 0.055;
+#   3,483 (6x2) 0.010 / 0.050; 3,287 (5x3) 0.015 / 0.055;
+#   11,189 (4x5) 0.085 / 0.150; 25,450 (7x2) 0.057 / 0.115;
+#   38,443 (6x3) 0.083 / 0.125; 41,200 (5x4) 0.149 / 0.214;
+#   246,452 (8x2) 0.441 / 0.495; 414,849 (5x5) 1.186 / 0.967;
+#   455,433 (7x3) 1.020 / 0.665; 801,511 (6x4) 1.585 / 0.947.
 # Serial wins up to 8x2 and two workers win from 5x5 on, so two workers
 # start from 300,000.
 _WORK_PER_WORKER = 150_000
@@ -676,23 +678,20 @@ def _walk_verdicts(strands, firsts):
     was evaluating.
 
     A stack holds the (cosets, held) layer of each crossing of the last
-    sequence walked; each sequence keeps the layers of the prefix it shares
-    with the one before it and builds only the rest
-    (``kernels._first_cosets``, then ``kernels._next_cosets``).  Sequences
+    sequence walked, on the identity layer of the empty prefix; each
+    sequence keeps the layers of the prefix it shares with the one before it
+    and builds only the rest (``kernels._next_cosets``).  Sequences
     with the same cycle-type census share one verdict: 4,125 orbits of
     6 x 4 have 397 distinct coloring sums.
     """
-    stack = []
+    stack = [({tuple(range(1, strands + 1)): 1}, ())]
     previous = ()
     verdicts = {}  # frozenset of a census's items: its verdict
     for crossings in firsts:
         try:
-            del stack[_shared_depth(previous, crossings):]
-            for crossing in crossings[len(stack):]:
-                stack.append(
-                    kernels._next_cosets(strands, *stack[-1], crossing) if stack
-                    else kernels._first_cosets(strands, crossing)
-                )
+            del stack[_shared_depth(previous, crossings) + 1:]
+            for crossing in crossings[len(stack) - 1:]:
+                stack.append(kernels._next_cosets(strands, *stack[-1], crossing))
             census = kernels._cycle_types_of_cosets(strands, *stack[-1])
             key = frozenset(census.items())
             verdict = verdicts.get(key)
@@ -772,21 +771,46 @@ def _orbit_indices(strands, sequences):
         yield crossings, index
 
 
+def _run_size(firsts, workers):
+    """First members per pool run: about four runs per worker, so that
+    every worker gets some."""
+    return max(1, min(64, len(firsts) // (4 * workers)))
+
+
+def _pool_work(strands, firsts, workers):
+    """The work a pool of ``workers`` adds to _plan_sweep's bound of the
+    serial walk: the first member of every run but the first rebuilds the
+    layers of the prefix it shares with the member before it, and every
+    worker past the first may build its own joined-cycles tables, |W|! for
+    each last-window width |W|."""
+    size = _run_size(firsts, workers)
+    extra = (workers - 1) * sum(factorial(width) for width in {c[-1].size for c in firsts})
+    for k in range(size, len(firsts), size):
+        cosets, previous = 1, (1, 0)
+        for crossing in firsts[k][:_shared_depth(firsts[k - 1], firsts[k])]:
+            cost, cosets = kernels.layer_bound(strands, cosets, previous, crossing)
+            extra += cost
+            previous = crossing
+    return extra
+
+
 def _orbit_verdicts(strands, firsts, threads, work):
     """Yield the is_h_positive verdict of each sequence of ``firsts``, in
     order, as _walk_verdicts built it.  ``work`` bounds the states that
-    walk creates (_plan_sweep): each worker needs _WORK_PER_WORKER of it, and
-    with fewer than two workers the whole list is walked in this process
-    as one run.  A pool gets contiguous runs, so that neighbours still
-    share their prefixes; leaving early cancels the runs no worker has
-    started."""
+    walk creates (_plan_sweep): each worker needs _WORK_PER_WORKER of it,
+    and the workers are cut until ``work`` plus what the pool adds
+    (_pool_work) stays under COLORING_GUARD.  With fewer than two workers
+    the whole list is walked in this process as one run.  A pool gets
+    contiguous runs, so that neighbours still share their prefixes; leaving
+    early cancels the runs no worker has started."""
     workers = min(_worker_count(threads), work // _WORK_PER_WORKER)
+    while workers > 1 and work + _pool_work(strands, firsts, workers) > COLORING_GUARD:
+        workers -= 1
     pool = _start_pool(workers) if workers > 1 and len(firsts) > 1 else None
     if pool is None:
         yield from _walk_verdicts(strands, firsts)
         return
-    # about four runs per worker, so that every worker gets some
-    size = max(1, min(64, len(firsts) // (4 * workers)))
+    size = _run_size(firsts, workers)
     runs = [(strands, firsts[k:k + size]) for k in range(0, len(firsts), size)]
     try:
         for verdicts in pool.map(_evaluate_run, runs):
@@ -827,7 +851,9 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
     generated sequence, and ``firsts`` the orbits' first members in order.
     ``work`` bounds the states _walk_verdicts creates for them: the step
     costs (``kernels.layer_bound``) past the prefix each first member
-    shares with the one before it, plus one per last coset for its walk.
+    shares with the one before it, plus one per last coset for its walk,
+    plus |W|! for the first last window W of each width, whose
+    joined-cycles table the walk then builds (``kernels.census_work``).
     A stack of (coset bound, window) per depth, on (1, (1, 0)) for the empty
     prefix, mirrors the walk's, and the sum is checked against
     COLORING_GUARD as each first member is met.
@@ -837,6 +863,7 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
     work = 0
     stack = [(1, (1, 0))]  # (coset bound, window) per depth
     previous = ()
+    widths = set()
     sequences = generate_search_diagrams(strands, max_crossings, mode, seed, count)
     for crossings, index in _orbit_indices(strands, sequences):
         if index == len(firsts):
@@ -846,6 +873,10 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
                 work += cost
                 stack.append((cosets, crossing))
             work += stack[-1][0]
+            width = crossings[-1].size
+            if width not in widths:
+                widths.add(width)
+                work += factorial(width)
             firsts.append(crossings)
             previous = crossings
             _check_coloring_guard(
@@ -876,8 +907,10 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
     where the cap is ``threads``, else STRAND_TRACE_THREADS, else the CPUs
     the process may run on; below two workers the sweep runs in this
     process and starts none.  A worker walks contiguous runs of first
-    members, so the first of each run rebuilds its shared prefix, which the
-    bound does not count.  Results are independent of the worker count.
+    members, so the first of each run rebuilds its shared prefix, and each
+    worker builds its own joined-cycles tables; fewer workers are started
+    if that extra work would take the bound past COLORING_GUARD.  Results
+    are independent of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")

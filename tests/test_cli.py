@@ -430,11 +430,14 @@ def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, mo
 @pytest.mark.parametrize(
     "argv",
     [
-        # 9 x 3 and 7 x 4 bound a walk work of 82,541,509 and 15,091,752,
+        # 9 x 3 and 7 x 4 bound a walk work of 82,950,621 and 15,097,664,
         # over the 10^7 guard
         ["search", "--strands", "9", "--max-crossings", "3"],
         ["search", "--strands", "1", "--max-crossings", "3"],
         ["search", "--strands", "7", "--max-crossings", "4"],
+        # one crossing each, but reading [1,24] builds the joined-cycles
+        # table of 24 paths, charged 24!
+        ["search", "--strands", "24", "--max-crossings", "1"],
     ],
 )
 def test_rejected_search_keeps_existing_out(capsys, tmp_path, argv):

@@ -138,11 +138,17 @@ def test_coloring_guard():
 
 
 def test_multiset_guard_leaves_out_the_expansion():
-    # 120 last cosets of S_9: 43,545,721 states expanded, 241 without
+    # 120 last cosets of S_9: 43,545,721 states expanded, 241 + 9! without
     d = StrandDiagram(13, [(1, 5), (5, 13)])
     with pytest.raises(GuardExceededError):
         diagram_csf(d, "distinct")
     assert sum(diagram_csf(d, "multiset").coefficients().values()) == factorial(5) * factorial(9)
+
+
+def test_multiset_guard_counts_the_joined_cycles_table():
+    # one last coset, but its joined-cycles table over 24 paths is charged 24!
+    with pytest.raises(GuardExceededError):
+        diagram_csf(StrandDiagram(24, [(1, 24)]), "multiset")
 
 
 # -- diagram_csf -------------------------------------------------------------
@@ -687,7 +693,7 @@ def test_orbit_table_splits_like_the_least_image(strands, max_crossings, options
 @pytest.mark.parametrize(
     "strands,max_crossings,work,orbits,records",
     # 8 x 3 runs under the guard; 7 x 4 and 9 x 3 do not
-    [(4, 3, 342, 49, 258), (8, 3, 6_011_049, 2_294, 22_764)],
+    [(4, 3, 374, 49, 258), (8, 3, 6_057_281, 2_294, 22_764)],
 )
 def test_sweep_bounds_the_walk_of_its_first_members(
     strands, max_crossings, work, orbits, records
@@ -757,15 +763,15 @@ def test_small_search_runs_in_process(monkeypatch):
         raise OSError("no processes")
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
-    # 49 orbits with a summed walk work of 342, far below two workers' worth
+    # 49 orbits with a summed walk work of 374, far below two workers' worth
     assert len(list(search_general(4, 3, threads=2))) == 6 + 6**2 + 6**3
     assert started == []
 
 
 @pytest.mark.parametrize(
     "threads,work_per_worker,workers",
-    # 4 x 3 sums a walk work of 342 over its 49 orbits
-    [(2, 1, 2), (8, 100, 3), (8, 171, 2), (2, 172, None), (1, 1, None)],
+    # 4 x 3 sums a walk work of 374 over its 49 orbits
+    [(2, 1, 2), (8, 100, 3), (8, 187, 2), (2, 188, None), (1, 1, None)],
 )
 def test_search_worker_count_follows_the_census_work(
     monkeypatch, threads, work_per_worker, workers
@@ -781,6 +787,26 @@ def test_search_worker_count_follows_the_census_work(
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", work_per_worker)
     assert list(search_general(4, 3, threads=threads)) == list(search_general(4, 3, threads=1))
     assert started == ([] if workers is None else [workers])
+
+
+def test_pool_work_cuts_the_workers_under_the_guard(monkeypatch):
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    generated, firsts, work = diagrams._plan_sweep(4, 3, "exhaustive", 0, 0)
+    # on two workers the first members of 8 later runs of 6 rebuild
+    # prefixes costing 10, and the second worker's tables cost 2! + 3! + 4!
+    assert diagrams._pool_work(4, firsts, 2) == 10 + 32
+    assert diagrams._pool_work(4, firsts, 3) > 42
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
+    monkeypatch.setattr(diagrams, "COLORING_GUARD", work + 42)
+    assert list(search_general(4, 3, threads=8)) == list(search_general(4, 3, threads=1))
+    assert started == [2]
 
 
 def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):

@@ -179,11 +179,14 @@ def test_cycle_type_census_against_the_expanding_census_on_random_diagrams(diagr
     assert kernels.cycle_type_census(n, crossings) == cycle_types_of_census(n, crossings)
 
 
-def test_first_layer_is_the_step_from_the_identity():
+def test_last_cosets_start_from_the_identity_layer():
     for n in range(2, 6):
-        for crossing in combinations(range(1, n + 1), 2):
-            step = kernels._next_cosets(n, {tuple(range(1, n + 1)): 1}, (), crossing)
-            assert kernels._first_cosets(n, crossing) == step
+        identity = tuple(range(1, n + 1))
+        assert kernels._last_cosets(n, []) == ({identity: 1}, ())
+        for i, j in combinations(range(1, n + 1), 2):
+            # the one coset of S_W through the identity, W = [i, j]
+            coset = tuple(0 if i <= v <= j else v for v in identity)
+            assert kernels._last_cosets(n, [(i, j)]) == ({coset: 1}, tuple(range(i, j + 1)))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -224,10 +227,11 @@ def test_census_work_bounds_the_census():
     assert kernels.census_work(11, [(1, 11)]) == 1 + factorial(11)
     # one coset after [1,2], two placements of its values for [3,4], 2! each
     assert kernels.census_work(4, [(1, 2), (3, 4)]) == 1 + 2 + 2 * 2
-    # without the expansion, one state per last coset
-    assert kernels.census_work(4, [], expand=False) == 1
-    assert kernels.census_work(11, [(1, 11)], expand=False) == 1 + 1
-    assert kernels.census_work(4, [(1, 2), (3, 4)], expand=False) == 1 + 2 + 2
+    # without the expansion, one state per last coset and |W|! for the
+    # joined-cycles table of the last window W
+    assert kernels.census_work(4, [], expand=False) == 1 + factorial(0)
+    assert kernels.census_work(11, [(1, 11)], expand=False) == 1 + 1 + factorial(11)
+    assert kernels.census_work(4, [(1, 2), (3, 4)], expand=False) == 1 + 2 + 2 + factorial(2)
     for n, crossings in CENSUS_CASES:
         assert kernels.census_work(n, crossings) >= len(kernels.colored_census(n, crossings))
 
