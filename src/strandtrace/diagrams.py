@@ -12,7 +12,9 @@ trace shares one diagram, so the trace rule works on a flat table
 {(dots per strand, power-sum parts): coefficient} for that diagram; the full
 trace stays on that table until it builds one SymFun at the end, and the
 weighted-diagram and combo traces group their terms by diagram, step each
-group once and regroup the result by dots.
+group once and regroup the result by dots.  A combo gathers each key's terms
+and merges them with one SymFun constructor, and every coloring sum read as
+a cycle-type census is built by ``symfun._from_census``.
 
 The h-positivity pipeline never expands traces fully: it rewrites
 ``partial_k(D)`` combinations (h_k D + h_{k-1} D^1 + ... + h_0 D^k, dots on
@@ -34,7 +36,9 @@ shares with the one before, and each last layer's cycle types are read
 without building its permutations (``kernels._cycle_types_of_cosets``).
 The guard bounds the states that walk creates (``kernels.layer_bound``
 past each shared prefix, plus one per last coset and |W|! per width of a
-last window W, for its joined-cycles table).  Each orbit's
+last window W, for its joined-cycles table), and the same walk records
+what a worker pool would build again, so the pool's extra work is read off
+it.  Each orbit's
 ``is_h_positive`` verdict is handed to the caller as it was built, pickled
 when it comes from a worker process; the process pool is imported only
 when a sweep starts one.
@@ -117,7 +121,8 @@ class _Combo:
     """Formal sum of keys with symmetric-function coefficients, all in the
     subclass's ``basis``.  The constructor takes a mapping or an iterable of
     (key, coeff) pairs, with a number standing for that multiple of 1, and
-    merges terms on equal keys, dropping zeros."""
+    merges the terms on equal keys with one SymFun constructor per key,
+    dropping zero keys."""
 
     __slots__ = ("_table",)
 
@@ -126,28 +131,19 @@ class _Combo:
         return key
 
     def __init__(self, terms=()):
-        # one flat {key: {partition: coeff}} accumulator, merged the way
-        # SymFun.__init__ merges, so each coefficient is built once at the end
-        acc = {}
+        grouped = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
             if not isinstance(coeff, SymFun):
                 coeff = coeff * SymFun.one(self.basis)
-            if coeff.basis != self.basis:
+            elif coeff.basis != self.basis:
                 coeff = to_basis(coeff, self.basis)
-            if coeff.is_zero():
-                continue
-            key = self._key(key)
-            merged = acc.setdefault(key, {})
-            for lam, c in coeff.coefficients().items():
-                new = merged.get(lam, 0) + c
-                if new:
-                    merged[lam] = new
-                else:
-                    del merged[lam]
-            if not merged:
-                del acc[key]
-        self._table = {key: symfun._trusted(self.basis, merged) for key, merged in acc.items()}
+            grouped.setdefault(self._key(key), []).extend(coeff.coefficients().items())
+        self._table = {}
+        for key, items in grouped.items():
+            coeff = SymFun(self.basis, items)
+            if not coeff.is_zero():
+                self._table[key] = coeff
 
     @classmethod
     def _trusted(cls, table):
@@ -191,10 +187,8 @@ class DiagramCombo(_Combo):
     def to_symfun(self):
         if not self.is_scalar():
             raise ValueError("combo still contains diagrams with strands")
-        acc = SymFun.zero("p")
-        for coeff in self._table.values():
-            acc = acc + coeff
-        return acc
+        # every zero-strand weighted diagram is equal, so there is one key at most
+        return next(iter(self._table.values()), SymFun.zero("p"))
 
     def to_json_dict(self):
         return {
@@ -298,13 +292,6 @@ def colored_permutations(diagram):
     return kernels.colored_census(diagram.n, _guarded_crossings(diagram))
 
 
-def _csf_of_census(census):
-    """The power-sum SymFun of a cycle-type census {descending cycle type:
-    count}.  Every count is positive, so the census becomes the SymFun as
-    it stands."""
-    return symfun._trusted("p", {_trusted_partition(lam): count for lam, count in census.items()})
-
-
 def diagram_csf(diagram, mode="distinct"):
     """Sum of p_{cycletype} over colorings, in the power-sum basis.
 
@@ -320,7 +307,7 @@ def diagram_csf(diagram, mode="distinct"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
     if mode == "multiset":
         crossings = _guarded_crossings(diagram, expand=False)
-        return _csf_of_census(kernels.cycle_type_census(diagram.n, crossings))
+        return symfun._from_census(kernels.cycle_type_census(diagram.n, crossings))
     table = {}
     for images in colored_permutations(diagram):
         lam = cycle_type(images)
@@ -627,8 +614,8 @@ class SearchRecord(NamedTuple):
 
 
 # Walk work (_plan_sweep's bound) that one sweep worker must have for the
-# pool to pay for its start, probe and shutdown.  Alternating threads=1 /
-# threads=2 pairs, each search_general run in a fresh process with two
+# pool to pay for its start, probe and shutdown.  Alternating one- and
+# two-worker pairs, each search_general run in a fresh process with two
 # workers forced (2 cores, Python 3.11.7), medians of 6 in seconds:
 #   work 374 (4x3) 0.005 / 0.052; 2,225 (4x4) 0.014 / 0.055;
 #   3,483 (6x2) 0.010 / 0.050; 3,287 (5x3) 0.015 / 0.055;
@@ -645,12 +632,9 @@ def crossing_alphabet(strands):
     return [Crossing(i, j) for i in range(1, strands) for j in range(i + 1, strands + 1)]
 
 
-def _worker_count(threads):
-    """``threads`` if given, else STRAND_TRACE_THREADS, else the number of
-    CPUs this process may run on (its affinity mask, where the platform has
-    one)."""
-    if threads is not None:
-        return max(1, int(threads))
+def _worker_count():
+    """STRAND_TRACE_THREADS if set, else the number of CPUs this process may
+    run on (its affinity mask, where the platform has one)."""
     env = os.environ.get("STRAND_TRACE_THREADS", "").strip()
     if env:
         try:
@@ -696,7 +680,7 @@ def _walk_verdicts(strands, firsts):
             key = frozenset(census.items())
             verdict = verdicts.get(key)
             if verdict is None:
-                verdict = verdicts[key] = is_h_positive(_csf_of_census(census))
+                verdict = verdicts[key] = is_h_positive(symfun._from_census(census))
         except Exception as exc:
             exc.args = (
                 "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
@@ -777,34 +761,28 @@ def _run_size(firsts, workers):
     return max(1, min(64, len(firsts) // (4 * workers)))
 
 
-def _pool_work(strands, firsts, workers):
+def _pool_work(rebuilt, tables, workers):
     """The work a pool of ``workers`` adds to _plan_sweep's bound of the
     serial walk: the first member of every run but the first rebuilds the
-    layers of the prefix it shares with the member before it, and every
-    worker past the first may build its own joined-cycles tables, |W|! for
-    each last-window width |W|."""
-    size = _run_size(firsts, workers)
-    extra = (workers - 1) * sum(factorial(width) for width in {c[-1].size for c in firsts})
-    for k in range(size, len(firsts), size):
-        cosets, previous = 1, (1, 0)
-        for crossing in firsts[k][:_shared_depth(firsts[k - 1], firsts[k])]:
-            cost, cosets = kernels.layer_bound(strands, cosets, previous, crossing)
-            extra += cost
-            previous = crossing
-    return extra
+    layers of the prefix it shares with the member before it (its entry of
+    ``rebuilt``), and every worker past the first may build its own
+    joined-cycles tables (``tables``)."""
+    size = _run_size(rebuilt, workers)
+    return (workers - 1) * tables + sum(rebuilt[size::size])
 
 
-def _orbit_verdicts(strands, firsts, threads, work):
+def _orbit_verdicts(strands, firsts, work, rebuilt, tables):
     """Yield the is_h_positive verdict of each sequence of ``firsts``, in
     order, as _walk_verdicts built it.  ``work`` bounds the states that
     walk creates (_plan_sweep): each worker needs _WORK_PER_WORKER of it,
     and the workers are cut until ``work`` plus what the pool adds
-    (_pool_work) stays under COLORING_GUARD.  With fewer than two workers
-    the whole list is walked in this process as one run.  A pool gets
-    contiguous runs, so that neighbours still share their prefixes; leaving
-    early cancels the runs no worker has started."""
-    workers = min(_worker_count(threads), work // _WORK_PER_WORKER)
-    while workers > 1 and work + _pool_work(strands, firsts, workers) > COLORING_GUARD:
+    (_pool_work, from the plan's ``rebuilt`` and ``tables``) stays under
+    COLORING_GUARD.  With fewer than two workers the whole list is walked
+    in this process as one run.  A pool gets contiguous runs, so that
+    neighbours still share their prefixes; leaving early cancels the runs
+    no worker has started."""
+    workers = min(_worker_count(), work // _WORK_PER_WORKER)
+    while workers > 1 and work + _pool_work(rebuilt, tables, workers) > COLORING_GUARD:
         workers -= 1
     pool = _start_pool(workers) if workers > 1 and len(firsts) > 1 else None
     if pool is None:
@@ -845,37 +823,45 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
 
 
 def _plan_sweep(strands, max_crossings, mode, seed, count):
-    """The sweep before any evaluation: (generated, firsts, work).
+    """The sweep before any evaluation: (generated, firsts, work, rebuilt,
+    tables).
 
     ``generated`` holds (crossings, index of its orbit in firsts) for every
     generated sequence, and ``firsts`` the orbits' first members in order.
     ``work`` bounds the states _walk_verdicts creates for them: the step
     costs (``kernels.layer_bound``) past the prefix each first member
     shares with the one before it, plus one per last coset for its walk,
-    plus |W|! for the first last window W of each width, whose
+    plus ``tables``, |W|! for the first last window W of each width, whose
     joined-cycles table the walk then builds (``kernels.census_work``).
-    A stack of (coset bound, window) per depth, on (1, (1, 0)) for the empty
-    prefix, mirrors the walk's, and the sum is checked against
-    COLORING_GUARD as each first member is met.
+    A stack of (coset bound, window, summed step costs) per depth, on
+    (1, (1, 0), 0) for the empty prefix, mirrors the walk's, and the sum is
+    checked against COLORING_GUARD as each first member is met.
+    ``rebuilt`` holds each first member's summed step costs of the prefix
+    it shares with the one before it: what a worker starting a run on it
+    builds again (_pool_work).
     """
     generated = []
     firsts = []
-    work = 0
-    stack = [(1, (1, 0))]  # (coset bound, window) per depth
+    rebuilt = []
+    work = tables = 0
+    stack = [(1, (1, 0), 0)]  # (coset bound, window, summed step costs) per depth
     previous = ()
     widths = set()
     sequences = generate_search_diagrams(strands, max_crossings, mode, seed, count)
     for crossings, index in _orbit_indices(strands, sequences):
         if index == len(firsts):
             del stack[_shared_depth(previous, crossings) + 1:]
+            rebuilt.append(stack[-1][2])
             for crossing in crossings[len(stack) - 1:]:
-                cost, cosets = kernels.layer_bound(strands, *stack[-1], crossing)
+                cosets, window, prefix = stack[-1]
+                cost, cosets = kernels.layer_bound(strands, cosets, window, crossing)
                 work += cost
-                stack.append((cosets, crossing))
+                stack.append((cosets, crossing, prefix + cost))
             work += stack[-1][0]
             width = crossings[-1].size
             if width not in widths:
                 widths.add(width)
+                tables += factorial(width)
                 work += factorial(width)
             firsts.append(crossings)
             previous = crossings
@@ -885,11 +871,10 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
                 strands, max_crossings, len(firsts),
             )
         generated.append((crossings, index))
-    return generated, firsts, work
+    return generated, firsts, work, rebuilt, tables
 
 
-def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
-                   threads=None):
+def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100):
     """Stream (diagram, h-expansion, verdict, witness) for generated diagrams.
 
     Rotating a crossing sequence conjugates every composite, reversing it
@@ -904,20 +889,22 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100,
     bounded (_plan_sweep) and checked against COLORING_GUARD; no expansion
     to single permutations is counted, since none is done.  The same bound
     sizes the worker pool: min(cap, work // _WORK_PER_WORKER) processes,
-    where the cap is ``threads``, else STRAND_TRACE_THREADS, else the CPUs
-    the process may run on; below two workers the sweep runs in this
-    process and starts none.  A worker walks contiguous runs of first
-    members, so the first of each run rebuilds its shared prefix, and each
-    worker builds its own joined-cycles tables; fewer workers are started
-    if that extra work would take the bound past COLORING_GUARD.  Results
+    where the cap is STRAND_TRACE_THREADS, else the CPUs the process may
+    run on; below two workers the sweep runs in this process and starts
+    none.  A worker walks contiguous runs of first members, so the first of
+    each run rebuilds its shared prefix, and each worker builds its own
+    joined-cycles tables; fewer workers are started if that extra work
+    (read off the plan) would take the bound past COLORING_GUARD.  Results
     are independent of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")
     if max_crossings < 1:
         raise ValueError("need at least one crossing")
-    generated, firsts, work = _plan_sweep(strands, max_crossings, mode, seed, count)
-    verdicts = _orbit_verdicts(strands, firsts, threads, work)
+    generated, firsts, work, rebuilt, tables = _plan_sweep(
+        strands, max_crossings, mode, seed, count
+    )
+    verdicts = _orbit_verdicts(strands, firsts, work, rebuilt, tables)
     done = []
     try:
         for crossings, index in generated:

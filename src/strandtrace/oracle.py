@@ -7,13 +7,14 @@ shape, and plain proper-coloring counts for its incomparability graph.
 The kernels already return canonical results (cycle types as descending
 tuples, a census with one positive count per cycle type), so ``cycle_type``
 and ``ch_gamma`` wrap them with the trusted constructors of ``symfun``
-instead of sorting and merging them again.  ``kernels.cycle_type`` proves
-that its input is a permutation in the same walk that types it.
+(``_trusted_partition``, and ``_from_census``, which the coloring sums
+share) instead of sorting and merging them again.  ``kernels.cycle_type``
+proves that its input is a permutation in the same walk that types it.
 """
 
 from strandtrace import kernels
 from strandtrace.errors import GuardExceededError
-from strandtrace.symfun import _trusted, _trusted_partition
+from strandtrace.symfun import _from_census, _trusted_partition
 
 FACTORIAL_GUARD = 10  # ch_gamma enumerates S_n
 COLORING_COUNT_GUARD = 10**8  # proper_coloring_count explores <= m^n leaves
@@ -40,8 +41,7 @@ def ch_gamma(shape):
         raise GuardExceededError(
             "n=%d exceeds the S_n enumeration guard %d" % (n, FACTORIAL_GUARD)
         )
-    census = kernels.restricted_census(n, position_bounds(shape))
-    return _trusted("p", {_trusted_partition(ct): count for ct, count in census.items()})
+    return _from_census(kernels.restricted_census(n, position_bounds(shape)))
 
 
 def proper_coloring_count(graph, m):

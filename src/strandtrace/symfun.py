@@ -8,7 +8,11 @@ of h in power sums.  All three bases are multiplicative, so products merge
 index partitions by sorted concatenation.  Conversions run through the Newton
 recurrence (p <-> h), the integer recurrence e_m = sum_i (-1)^(i-1) h_i e_{m-i}
 (e -> h) and the omega involution (h -> e, e -> p) and are exact in both
-directions; e <-> h never leaves the integers.
+directions; e <-> h never leaves the integers.  Each conversion expands
+one part at a time (``_h_part_in_p``, ``_p_part_in_h``, ``_e_part_in_h``),
+and one memoized product of part expansions gives a whole basis element.
+A cycle-type census, from the oracle or the coloring kernels, becomes a
+power-sum SymFun through one constructor, ``_from_census``.
 
 Conventions (used consistently by callers):
   * ``h(m) == 0`` for m < 0 and ``h(0) == 1``,
@@ -97,8 +101,9 @@ class SymFun:
     merged skip the constructor through ``_trusted``, so two functions may
     share one table: negation, scalar multiples, the retags of ``omega``,
     the basis-change expansion ``_expand`` (merged in one table, zeros
-    dropped once), ``oracle.ch_gamma``, and in ``diagrams`` the coloring
-    sum ``diagram_csf``, the full trace ``trace_to_symfun`` and the
+    dropped once), a cycle-type census (``_from_census``, for
+    ``oracle.ch_gamma`` and the coloring sums), and in ``diagrams`` the
+    distinct coloring sum, the full trace ``trace_to_symfun`` and the
     reduction's steps.  Pickling goes through ``_trusted`` too, so a copy
     keeps its Partition keys and coefficient types and stays immutable;
     this is how the sweep's workers hand back their verdicts.
@@ -237,6 +242,13 @@ def _trusted_partition(parts):
     return tuple.__new__(Partition, parts)
 
 
+def _from_census(census):
+    """The power-sum SymFun of a cycle-type census {descending cycle type:
+    positive count}, as the kernels return it: every key is already sorted
+    and every count nonzero, so the census becomes the table as it stands."""
+    return _trusted("p", {_trusted_partition(lam): count for lam, count in census.items()})
+
+
 def p(index):
     """p_index.  An int means a single part; p(0) is the unit (p_0 = 1)."""
     return _single("p", index)
@@ -290,36 +302,24 @@ def _e_part_in_h(m):
 
 
 @lru_cache(maxsize=None)
-def _h_index_in_p(mu):
-    out = SymFun.one("p")
+def _index_in(part_rule, target, mu):
+    """The basis element indexed by mu, rewritten in the target basis: the
+    product of ``part_rule(m)`` (``_h_part_in_p``, ``_p_part_in_h`` or
+    ``_e_part_in_h``) over the parts m of mu, since every basis is
+    multiplicative."""
+    out = SymFun.one(target)
     for m in mu:
-        out = out * _h_part_in_p(m)
+        out = out * part_rule(m)
     return out
 
 
-@lru_cache(maxsize=None)
-def _p_index_in_h(mu):
-    out = SymFun.one("h")
-    for m in mu:
-        out = out * _p_part_in_h(m)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _e_index_in_h(mu):
-    out = SymFun.one("h")
-    for m in mu:
-        out = out * _e_part_in_h(m)
-    return out
-
-
-def _expand(f, index_expansion, target):
-    """sum_lam c_lam * index_expansion(lam) over f's coefficients, whatever
-    f's basis tag, merged in one table; terms may cancel, so zeros are
-    dropped once at the end."""
+def _expand(f, part_rule, target):
+    """sum_lam c_lam * (lam's element in the target basis, from ``part_rule``)
+    over f's coefficients, whatever f's basis tag, merged in one table;
+    terms may cancel, so zeros are dropped once at the end."""
     acc = {}
     for lam, c in f.coefficients().items():
-        for mu, d in index_expansion(lam).coefficients().items():
+        for mu, d in _index_in(part_rule, target, lam).coefficients().items():
             acc[mu] = acc.get(mu, 0) + c * d
     return _trusted(target, {mu: c for mu, c in acc.items() if c})
 
@@ -340,17 +340,17 @@ def _to_p(f):
     if f.basis == "p":
         return f
     if f.basis == "h":
-        return _expand(f, _h_index_in_p, "p")
+        return _expand(f, _h_part_in_p, "p")
     # e_mu = omega(h_mu), so expand the coefficients on h_mu and flip signs
-    return omega(_expand(f, _h_index_in_p, "p"))
+    return omega(_expand(f, _h_part_in_p, "p"))
 
 
 def _to_h(f):
     if f.basis == "h":
         return f
     if f.basis == "p":
-        return _expand(f, _p_index_in_h, "h")
-    return _expand(f, _e_index_in_h, "h")
+        return _expand(f, _p_part_in_h, "h")
+    return _expand(f, _e_part_in_h, "h")
 
 
 def to_basis(f, target):

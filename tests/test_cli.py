@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from strandtrace import cli, diagrams, kernels, p
+from strandtrace import SymFun, cli, diagrams, kernels, p
 from strandtrace.cli import main
 
 
@@ -207,6 +207,23 @@ def test_verify_identities(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("passed 49/49")
+
+
+def test_identities_suite_stops_at_the_oracle_guard(capsys):
+    """The power-sum census is the oracle on the empty shape, so past n = 10
+    it meets the S_n guard instead of enumerating 11! permutations."""
+    code, out, err = run_cli(capsys, ["verify", "--suite", "identities", "--max-n", "11"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=11 exceeds the S_n enumeration guard 10\n"
+
+
+def test_power_sum_census_equals_the_full_restricted_census():
+    """The oracle on the empty shape is the restricted census of all of S_n."""
+    for n in range(1, 9):
+        census = kernels.restricted_census(n, [0] * n)
+        assert cli.ch_gamma(cli.StaircaseShape(n)) == SymFun("p", census)
+    assert [ok for _, ok, _ in cli.check_power_sum_census(8)] == [True] * 8
 
 
 def test_verify_closed_form(capsys):

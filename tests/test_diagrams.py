@@ -363,6 +363,68 @@ def test_trace_combo_rejects_a_fully_traced_combo():
         trace_combo(DiagramCombo({wd(0, []): p(1), wd(2, [(1, 2)]): p(1)}))
 
 
+COMBO_KEYS = {
+    DiagramCombo: [wd(1, []), wd(1, [], (2,)), wd(2, [(1, 2)], (0, 1))],
+    PartialCombo: [(SINGLE_STRAND, 0), (SINGLE_STRAND, 2), (StrandDiagram(2, [(1, 2)]), 1)],
+}
+NUMBERS = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+)
+
+
+@st.composite
+def combo_coefficients(draw):
+    """A plain number, or a SymFun in any basis, as a combo term's coefficient."""
+    if draw(st.booleans()):
+        return draw(NUMBERS)
+    parts = st.sampled_from([(), (1,), (2,), (1, 1), (3,), (2, 1)])
+    terms = draw(st.lists(st.tuples(parts, NUMBERS), max_size=3))
+    return SymFun(draw(st.sampled_from(symfun.BASES)), terms)
+
+
+def with_cancelling_terms(draw, terms):
+    """``terms`` and the negations of a few of them, so some keys cancel."""
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    return terms + [(key, -1 * coeff) for key, coeff in cancelled]
+
+
+def summed_in(basis, coeffs):
+    """The sum of the coefficients, each converted to ``basis``, numbers as
+    multiples of 1."""
+    total = SymFun.zero(basis)
+    for coeff in coeffs:
+        if not isinstance(coeff, SymFun):
+            coeff = coeff * SymFun.one(basis)
+        total = total + to_basis(coeff, basis)
+    return total
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([DiagramCombo, PartialCombo]), st.data())
+def test_prop_combo_coefficient_is_the_sum_of_its_terms(cls, data):
+    keys = COMBO_KEYS[cls]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(keys), combo_coefficients()), max_size=8))
+    terms = with_cancelling_terms(data.draw, terms)
+    combo = cls(terms)
+    expected = {key: summed_in(cls.basis, [c for k, c in terms if k == key]) for key in keys}
+    assert len(combo) == sum(not value.is_zero() for value in expected.values())
+    for key, value in expected.items():
+        got = combo.coefficient(key) if cls is DiagramCombo else combo.coefficient(*key)
+        assert got.basis == cls.basis
+        assert got == value
+        assert all(type(c) in (int, Fraction) for c in got.coefficients().values())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_prop_scalar_combo_to_symfun_is_the_sum_of_its_terms(data):
+    terms = data.draw(st.lists(st.tuples(st.just(wd(0, [])), combo_coefficients()), max_size=5))
+    terms = with_cancelling_terms(data.draw, terms)
+    combo = DiagramCombo(terms)
+    assert combo.is_scalar()
+    assert combo.to_symfun() == summed_in("p", [c for _, c in terms])
+
+
 AVOIDING_SHAPES = st.integers(1, 8).flatmap(
     lambda n: st.sampled_from(list(enumerate_shapes(n, "211-avoiding")))
 )
@@ -571,10 +633,18 @@ def test_reduction_past_the_oracle_guard_gives_the_chromatic_polynomial():
 # -- search ----------------------------------------------------------------------
 
 
-def test_search_contains_general_example():
+def sweep(monkeypatch, workers, *args, **options):
+    """search_general's records as a list, with STRAND_TRACE_THREADS set to
+    ``workers``."""
+    monkeypatch.setenv("STRAND_TRACE_THREADS", str(workers))
+    return list(search_general(*args, **options))
+
+
+def test_search_contains_general_example(monkeypatch):
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
     target = ((2, 3), (1, 2), (3, 4), (2, 3))
     found = None
-    for record in search_general(4, 4, threads=1):
+    for record in search_general(4, 4):
         if tuple(tuple(c) for c in record.diagram.crossings) == target:
             found = record
             break
@@ -583,8 +653,8 @@ def test_search_contains_general_example():
     assert found.values == 4 * h((2, 2)) + 4 * h((3, 1)) + 8 * h(4)
 
 
-def test_search_two_strand_powers():
-    records = list(search_general(2, 5, threads=1))
+def test_search_two_strand_powers(monkeypatch):
+    records = sweep(monkeypatch, 1, 2, 5)
     assert len(records) == 5
     for j, record in enumerate(records, start=1):
         assert record.positive
@@ -595,23 +665,23 @@ def test_search_two_strand_powers():
 def test_search_records_hold_int_coefficients(monkeypatch, threads):
     # the values cross the pool pickled and must come back as int
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
-    records = list(search_general(3, 2, threads=threads))
+    records = sweep(monkeypatch, threads, 3, 2)
     assert records[0].values == 2 * h((2, 1))
     for record in records:
         assert all(type(c) is int for c in record.values.coefficients().values()), record
 
 
-def test_search_exhaustive_small_no_counterexamples():
-    for record in search_general(3, 3, threads=1):
+def test_search_exhaustive_small_no_counterexamples(monkeypatch):
+    for record in sweep(monkeypatch, 1, 3, 3):
         assert record.positive
 
 
-def test_search_random_reproducible():
-    first = list(search_general(4, 3, mode="random", seed=99, count=12, threads=1))
-    second = list(search_general(4, 3, mode="random", seed=99, count=12, threads=1))
+def test_search_random_reproducible(monkeypatch):
+    first = sweep(monkeypatch, 1, 4, 3, mode="random", seed=99, count=12)
+    second = sweep(monkeypatch, 1, 4, 3, mode="random", seed=99, count=12)
     assert [r.diagram for r in first] == [r.diagram for r in second]
     assert [r.values for r in first] == [r.values for r in second]
-    different = list(search_general(4, 3, mode="random", seed=100, count=12, threads=1))
+    different = sweep(monkeypatch, 1, 4, 3, mode="random", seed=100, count=12)
     assert [r.diagram for r in first] != [r.diagram for r in different]
 
 
@@ -622,26 +692,25 @@ def test_search_warns_when_the_pool_cannot_start(monkeypatch):
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: no processes\)"):
-        fallback = list(search_general(3, 2, threads=2))
-    assert fallback == list(search_general(3, 2, threads=1))
+        fallback = sweep(monkeypatch, 2, 3, 2)
+    assert fallback == sweep(monkeypatch, 1, 3, 2)
 
 
 def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
     monkeypatch.delenv("STRAND_TRACE_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert diagrams._worker_count(None) == 1
+    assert diagrams._worker_count() == 1
     # platforms without affinity masks fall back to the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert diagrams._worker_count(None) == 64
+    assert diagrams._worker_count() == 64
     monkeypatch.setenv("STRAND_TRACE_THREADS", "3")
-    assert diagrams._worker_count(None) == 3
-    assert diagrams._worker_count(2) == 2
+    assert diagrams._worker_count() == 3
 
 
-def test_search_guard():
+def test_search_guard(monkeypatch):
     with pytest.raises(GuardExceededError):
-        list(search_general(10, 3, threads=1))
+        sweep(monkeypatch, 1, 10, 3)
 
 
 @pytest.mark.parametrize(
@@ -652,8 +721,10 @@ def test_search_guard():
         (3, 2, {"mode": "random", "seed": 5, "count": 60}),
     ],
 )
-def test_search_records_equal_evaluating_every_diagram(strands, max_crossings, options):
-    records = list(search_general(strands, max_crossings, threads=1, **options))
+def test_search_records_equal_evaluating_every_diagram(
+    monkeypatch, strands, max_crossings, options
+):
+    records = sweep(monkeypatch, 1, strands, max_crossings, **options)
     sequences = list(generate_search_diagrams(strands, max_crossings, **options))
     assert [r.diagram.crossings for r in records] == sequences
     for record, crossings in zip(records, sequences):
@@ -698,15 +769,17 @@ def test_orbit_table_splits_like_the_least_image(strands, max_crossings, options
 def test_sweep_bounds_the_walk_of_its_first_members(
     strands, max_crossings, work, orbits, records
 ):
-    generated, firsts, bound = diagrams._plan_sweep(strands, max_crossings, "exhaustive", 0, 0)
+    generated, firsts, bound, _, _ = diagrams._plan_sweep(
+        strands, max_crossings, "exhaustive", 0, 0
+    )
     assert (bound, len(firsts), len(generated)) == (work, orbits, records)
     assert bound <= diagrams.COLORING_GUARD
 
 
-def test_search_six_strands_three_crossings():
+def test_search_six_strands_three_crossings(monkeypatch):
     """6!**3 colorings of the widest sequence would exceed COLORING_GUARD;
     the walk over the 429 orbits is bounded by 37,571 states."""
-    records = list(search_general(6, 3, threads=1))
+    records = sweep(monkeypatch, 1, 6, 3)
     assert len(records) == 3615
     for record in records:
         assert record.positive
@@ -730,7 +803,7 @@ def test_search_failure_names_the_diagram(monkeypatch, threads):
     monkeypatch.setattr(kernels, "_next_cosets", failing)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.raises(ValueError, match=r"evaluating n=3; \[1,2\] \[1,3\]: no census"):
-        list(search_general(3, 2, threads=threads))
+        sweep(monkeypatch, threads, 3, 2)
 
 
 def test_search_pool_chunks_reach_every_worker(monkeypatch):
@@ -743,13 +816,13 @@ def test_search_pool_chunks_reach_every_worker(monkeypatch):
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
-    assert list(search_general(4, 3, threads=2)) == list(search_general(4, 3, threads=1))
+    assert sweep(monkeypatch, 2, 4, 3) == sweep(monkeypatch, 1, 4, 3)
     # 49 orbits on 2 workers, in contiguous runs of 6
     assert runs == [[6] * 8 + [1]]
 
 
-def test_orbits_with_equal_coloring_sums_share_a_verdict():
-    records = list(search_general(4, 3, threads=1))
+def test_orbits_with_equal_coloring_sums_share_a_verdict(monkeypatch):
+    records = sweep(monkeypatch, 1, 4, 3)
     sums = {tuple(sorted(r.values.coefficients().items())) for r in records}
     # 49 orbits, 30 distinct coloring sums
     assert len(sums) == len({id(r.values) for r in records}) == 30
@@ -764,7 +837,7 @@ def test_small_search_runs_in_process(monkeypatch):
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", refuse)
     # 49 orbits with a summed walk work of 374, far below two workers' worth
-    assert len(list(search_general(4, 3, threads=2))) == 6 + 6**2 + 6**3
+    assert len(sweep(monkeypatch, 2, 4, 3)) == 6 + 6**2 + 6**3
     assert started == []
 
 
@@ -785,7 +858,7 @@ def test_search_worker_count_follows_the_census_work(
 
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", work_per_worker)
-    assert list(search_general(4, 3, threads=threads)) == list(search_general(4, 3, threads=1))
+    assert sweep(monkeypatch, threads, 4, 3) == sweep(monkeypatch, 1, 4, 3)
     assert started == ([] if workers is None else [workers])
 
 
@@ -797,16 +870,38 @@ def test_pool_work_cuts_the_workers_under_the_guard(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    generated, firsts, work = diagrams._plan_sweep(4, 3, "exhaustive", 0, 0)
+    generated, firsts, work, rebuilt, tables = diagrams._plan_sweep(4, 3, "exhaustive", 0, 0)
     # on two workers the first members of 8 later runs of 6 rebuild
     # prefixes costing 10, and the second worker's tables cost 2! + 3! + 4!
-    assert diagrams._pool_work(4, firsts, 2) == 10 + 32
-    assert diagrams._pool_work(4, firsts, 3) > 42
+    assert tables == 32
+    assert diagrams._pool_work(rebuilt, tables, 2) == 10 + 32
+    assert diagrams._pool_work(rebuilt, tables, 3) > 42
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     monkeypatch.setattr(diagrams, "COLORING_GUARD", work + 42)
-    assert list(search_general(4, 3, threads=8)) == list(search_general(4, 3, threads=1))
+    assert sweep(monkeypatch, 8, 4, 3) == sweep(monkeypatch, 1, 4, 3)
     assert started == [2]
+
+
+@pytest.mark.parametrize(
+    "strands,max_crossings,mode,seed,count",
+    [(4, 3, "exhaustive", 0, 0), (5, 3, "exhaustive", 0, 0), (4, 4, "random", 7, 500)],
+)
+def test_plan_records_the_cost_of_each_shared_prefix(strands, max_crossings, mode, seed, count):
+    """What a worker starting a run on a first member builds again: the step
+    costs of the prefix it shares with the member before it, from the empty
+    prefix."""
+    _, firsts, _, rebuilt, _ = diagrams._plan_sweep(strands, max_crossings, mode, seed, count)
+    assert len(rebuilt) == len(firsts)
+    previous = ()
+    for crossings, cost in zip(firsts, rebuilt):
+        expected, cosets, window = 0, 1, (1, 0)
+        for crossing in crossings[:diagrams._shared_depth(previous, crossings)]:
+            step, cosets = kernels.layer_bound(strands, cosets, window, crossing)
+            expected += step
+            window = crossing
+        assert cost == expected, crossings
+        previous = crossings
 
 
 def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
@@ -831,7 +926,8 @@ def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
     monkeypatch.setattr(diagrams, "_evaluate_run", evaluate)
     monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
-    records = search_general(4, 3, threads=2)
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "2")
+    records = search_general(4, 3)
     assert next(records).diagram.crossings == first
     records.close()
     # the first run and at most one run in flight per worker; not all 9
