@@ -10,18 +10,30 @@ Shapes and diagrams that this module generates are valid by construction:
 ``enumerate_shapes`` builds weakly decreasing parts inside the staircase and
 ``diagram_from_lambda`` only crossings 1 <= i < j <= n, so both are built
 with the trusted constructors (``StaircaseShape._trusted``,
-``StrandDiagram._trusted``) and checked against the validating ones by the
-test suite.
+``StrandDiagram._trusted``, ``tuple.__new__`` for ``Partition`` and
+``Crossing``) and checked against the validating ones, and against a
+brute-force list of shapes and a step-by-step reading of the diagram rule,
+by the test suite.  ``enumerate_shapes`` builds each list of suffixes once
+per call and puts the shapes in canonical order with two C-level sorts;
+``diagram_from_lambda`` reads the crossings off the descent rows in one
+pass.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb
 
 from strandtrace.errors import GuardExceededError
 from strandtrace.strands import Crossing, StrandDiagram
-from strandtrace.symfun import Partition, _trusted_partition, partition_sort_key
+from strandtrace.symfun import Partition
 
 PATTERN_GUARD = 12
 SHAPE_GUARD = 12
+# avoids_pattern tries every support of the pattern's size: C(40, 4) = 91,390
+# supports of a four-element pattern take 0.6-0.9 s in Python 3.11
+SUPPORT_GUARD = 100_000
+
+# builds a tuple subclass (Partition, Crossing) on parts already in order
+_new = tuple.__new__
 
 
 class StaircaseShape:
@@ -175,7 +187,12 @@ def incomparability_graph(order):
 
 def avoids_pattern(order, pattern):
     """True iff the order has no induced copy of the disjoint chains with the
-    given lengths (exhaustive search over element subsets)."""
+    given lengths (exhaustive search over element subsets).
+
+    Raises GuardExceededError before the search when the pattern has more
+    than PATTERN_GUARD elements or the order has more than SUPPORT_GUARD
+    subsets of the pattern's size.
+    """
     pattern = sorted((int(a) for a in pattern), reverse=True)
     if any(a < 1 for a in pattern):
         raise ValueError("chain lengths must be positive")
@@ -184,8 +201,12 @@ def avoids_pattern(order, pattern):
         raise GuardExceededError(
             "pattern size %d exceeds the brute-force guard %d" % (total, PATTERN_GUARD)
         )
-    if total > order.n:
-        return True
+    supports = comb(order.n, total)
+    if supports > SUPPORT_GUARD:
+        raise GuardExceededError(
+            "C(%d, %d) = %d supports of the pattern exceed the brute-force guard %d"
+            % (order.n, total, supports, SUPPORT_GUARD)
+        )
     elements = range(1, order.n + 1)
     for support in combinations(elements, total):
         if _embeds_chains(order, list(support), pattern, ()):
@@ -241,22 +262,24 @@ def diagram_from_lambda(shape):
     Crossings bottom to top: [1, n-l]; one crossing [lambda_{j+1}+1, n-j]
     per outer corner (j with lambda_j > lambda_{j+1}), parsed NW to SE; and
     [lambda_1+1, n].  Size-1 crossings are dropped and consecutive duplicates
-    merged (for the empty partition both end crossings coincide at [1, n]).
+    merged.
+
+    One pass over the descent rows emits each kept crossing as it goes.  The
+    corner crossings strictly increase in both ends, start at strand 2 or
+    higher and end below strand n, so the only duplicate is the empty
+    partition's, where both end crossings are [1, n].
     """
     lam, n = shape.lam, shape.n
-    ell = lam.length
-    raw = [(1, n - ell)]
+    ell = len(lam)
+    if not ell:
+        return StrandDiagram._trusted(n, (_new(Crossing, (1, n)),) if n > 1 else ())
+    crossings = [_new(Crossing, (1, n - ell))] if n - ell > 1 else []
     for j in range(ell - 1, 0, -1):
-        if lam[j - 1] > lam[j]:
-            raw.append((lam[j] + 1, n - j))
-    raw.append(((lam[0] if ell else 0) + 1, n))
-    crossings = []
-    for i, j in raw:
-        if j - i < 1:
-            continue
-        if crossings and crossings[-1] == (i, j):
-            continue
-        crossings.append(Crossing(i, j))
+        low = lam[j]
+        if lam[j - 1] > low and n - j > low + 1:
+            crossings.append(_new(Crossing, (low + 1, n - j)))
+    if n - lam[0] > 1:
+        crossings.append(_new(Crossing, (lam[0] + 1, n)))
     # 1 <= i < j <= n holds for every kept crossing
     return StrandDiagram._trusted(n, tuple(crossings))
 
@@ -271,6 +294,13 @@ def enumerate_shapes(n, which="all"):
     lambda_{j+1} only when lambda_j is n-j or n-j-1, so a shape is a run of
     descent rows j, each with a value in {n-j, n-j-1} smaller than the one
     before.  There are F_{2n-1} of them.
+
+    Each list of suffixes (the parts from one row down, under one cap) is
+    built once per call and shared by every prefix that reaches it, in
+    descending tuple order.  Within one size reverse-lexicographic order is
+    descending tuple order, so two stable sorts, descending and then by
+    size, give the canonical order with no key tuples; the first is one
+    linear pass over the already descending list.
     """
     if which not in ("all", "211-avoiding"):
         raise ValueError("unknown filter %r" % (which,))
@@ -278,23 +308,43 @@ def enumerate_shapes(n, which="all"):
         raise GuardExceededError(
             "n=%d exceeds the shape enumeration guard %d" % (n, SHAPE_GUARD)
         )
+    suffixes = {}
 
-    def grow(position, cap):
-        yield ()
-        for part in range(1, min(cap, n - position) + 1):
-            for rest in grow(position + 1, part):
-                yield (part,) + rest
+    def grow(row, cap):
+        # weakly decreasing parts at most cap in rows row..n-1, where row r
+        # holds at most n-r
+        cap = min(cap, n - row)
+        got = suffixes.get((row, cap))
+        if got is None:
+            got = []
+            for part in range(cap, 0, -1):
+                head = (part,)
+                got += [head + rest for rest in grow(row + 1, part)]
+            got.append(())
+            suffixes[row, cap] = got
+        return got
 
     def grow_avoiding(row, cap):
         # rows before `row` are fixed and the last of them is a descent row
         # whose value is `cap`; rows row..j all take the next descent value
-        yield ()
-        for j in range(row, n):
-            for value in (n - j, n - j - 1):
-                if 1 <= value < cap:
-                    for rest in grow_avoiding(j + 1, value):
-                        yield (value,) * (j + 1 - row) + rest
+        # n-j or n-j-1.  A value v closes a run at row n-v or n-v-1; the
+        # longer run comes first in descending order
+        got = suffixes.get((row, cap))
+        if got is None:
+            got = []
+            for value in range(min(cap - 1, n - row), 0, -1):
+                for j in (n - value, n - value - 1):
+                    if row <= j < n:
+                        head = (value,) * (j + 1 - row)
+                        got += [head + rest for rest in grow_avoiding(j + 1, value)]
+            got.append(())
+            suffixes[row, cap] = got
+        return got
 
-    partitions = grow(1, n - 1) if which == "all" else grow_avoiding(1, n)
-    for parts in sorted(partitions, key=partition_sort_key):
-        yield StaircaseShape._trusted(n, _trusted_partition(parts))
+    parts = grow(1, n - 1) if which == "all" else grow_avoiding(1, n)
+    # the top list holds its own tuples: free the shared ones before yielding
+    suffixes.clear()
+    parts.sort(reverse=True)
+    parts.sort(key=sum)
+    for lam in map(_new, repeat(Partition), parts):
+        yield StaircaseShape._trusted(n, lam)

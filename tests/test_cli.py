@@ -218,6 +218,39 @@ def test_identities_suite_stops_at_the_oracle_guard(capsys):
     assert err == "error: n=11 exceeds the S_n enumeration guard 10\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--suite", "closed-form", "--max-n", "8", "--max-k", "9"],
+            "error: --max-k 9 exceeds the closed-form guard 8\n",
+        ),
+        (
+            ["verify", "--suite", "all", "--max-k", "12"],
+            "error: --max-k 12 exceeds the closed-form guard 8\n",
+        ),
+        (
+            ["classify", "--lambda", "", "--n", "60"],
+            "error: C(60, 4) = 487635 supports of the pattern exceed the brute-force guard 100000\n",
+        ),
+    ],
+    ids=["closed-form-max-k", "all-max-k", "classify-n"],
+)
+def test_guards_exit_before_any_case_runs(capsys, argv, message):
+    """Unbounded flags meet a guard first: the closed-form cases grow with
+    k, and classify's brute force with C(n, 4)."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_max_k_guard_spares_suites_without_k(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "trace", "--max-n", "3", "--max-k", "9"])
+    assert code == 0
+    assert out.strip().endswith("passed 7/7")
+
+
 def test_power_sum_census_equals_the_full_restricted_census():
     """The oracle on the empty shape is the restricted census of all of S_n."""
     for n in range(1, 9):
@@ -496,6 +529,15 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     code2, out2, _ = run_cli(capsys, list(argv))
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    shape = ["compute", "--lambda", "2,1", "--n", "4"]
+    code, out, _ = run_cli(capsys, shape + ["--basis", "p", "--via", "oracle"])
+    assert code == 0 and "via: oracle" in out and "p[1,1,1,1]" in out
+    code, out, _ = run_cli(capsys, shape)
+    assert code == 0 and "via: both" in out and "h[4] = 4" in out
 
 
 def test_search_worker_count_does_not_change_output(capsys, tmp_path, monkeypatch):

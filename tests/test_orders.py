@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from strandtrace import (
 )
 from strandtrace.errors import GuardExceededError
 from strandtrace.orders import UIOrder, parse_parts
+from strandtrace.strands import Crossing, StrandDiagram
 from strandtrace.symfun import partition_sort_key
 
 
@@ -90,6 +91,11 @@ def test_avoids_pattern_guard():
     order = poset_from_lambda(StaircaseShape(4, (2, 1)))
     with pytest.raises(GuardExceededError):
         avoids_pattern(order, (7, 6))
+    # C(41, 4) = 101,270 supports are over SUPPORT_GUARD; C(40, 4) = 91,390
+    # would be searched
+    order = poset_from_lambda(StaircaseShape(41))
+    with pytest.raises(GuardExceededError, match="C\\(41, 4\\) = 101270"):
+        avoids_pattern(order, (2, 1, 1))
 
 
 # -- corners and the 2+1+1 criterion ----------------------------------------
@@ -184,7 +190,61 @@ def test_211_diagrams_overlap_in_at_most_one_strand():
     assert [tuple(c) for c in gap.crossings] == [(1, 2), (4, 5)]
 
 
+def _diagram_by_the_rule(shape):
+    """The crossings of diagram_from_lambda's docstring, one step at a time:
+    the raw list, then size-1 crossings dropped, then consecutive duplicates
+    merged."""
+    n, lam = shape.n, tuple(shape.lam)
+    ell = len(lam)
+    padded = lam + (0,)
+    raw = [(1, n - ell)]
+    for j in range(ell - 1, 0, -1):
+        if padded[j - 1] > padded[j]:
+            raw.append((padded[j] + 1, n - j))
+    raw.append((padded[0] + 1, n))
+    kept = [c for c in raw if c[1] - c[0] >= 1]
+    return [c for k, c in enumerate(kept) if k == 0 or kept[k - 1] != c]
+
+
+def test_diagram_from_lambda_follows_its_rule_on_every_shape():
+    for n in range(1, 10):
+        for shape in enumerate_shapes(n):
+            d = diagram_from_lambda(shape)
+            assert d.n == n
+            assert all(type(c) is Crossing for c in d.crossings)
+            assert [tuple(c) for c in d.crossings] == _diagram_by_the_rule(shape), shape
+            assert d == StrandDiagram(n, _diagram_by_the_rule(shape))
+
+
 # -- enumeration ---------------------------------------------------------------
+
+
+def _shapes_by_brute_force(n, which):
+    """Every weakly decreasing tuple with lambda_i <= n-i, zeros stripped,
+    kept by the corner rule (each lambda_i > lambda_{i+1} is n-i or n-i-1)
+    for the avoiding filter, and sorted by partition_sort_key."""
+    shapes = []
+    for row in product(*(range(n - i + 1) for i in range(1, n))):
+        if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
+            continue
+        lam = tuple(part for part in row if part)
+        padded = lam + (0,)
+        corners_ok = all(
+            padded[i - 1] in (n - i, n - i - 1)
+            for i in range(1, len(lam) + 1)
+            if padded[i - 1] > padded[i]
+        )
+        if which == "all" or corners_ok:
+            shapes.append(lam)
+    return sorted(shapes, key=partition_sort_key)
+
+
+@pytest.mark.parametrize("which", ["all", "211-avoiding"])
+def test_enumerate_shapes_matches_brute_force(which):
+    for n in range(1, 10):
+        shapes = list(enumerate_shapes(n, which))
+        assert all(type(s.lam) is Partition and s.n == n for s in shapes)
+        assert [tuple(s.lam) for s in shapes] == _shapes_by_brute_force(n, which), n
 
 
 def test_enumerate_shapes_small():
