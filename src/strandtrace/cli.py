@@ -23,6 +23,7 @@ from math import factorial
 from strandtrace import symfun
 from strandtrace.diagrams import (
     closed_form_single_crossing,
+    crossing_alphabet,
     diagram_csf,
     iterate_trace_partial,
     reduce_to_h,
@@ -143,6 +144,31 @@ def check_trace_pipeline(max_n):
 # at k = 6, 4.2 s at k = 8 and 8.6 s at k = 10 (Python 3.11)
 CLOSED_FORM_K_GUARD = 8
 
+# The closed-form suite spends its time in the brute-force trace of
+# partial_k [1, n] (iterate_trace_partial).  Its tables hold about 2**n times
+# the T(k) = p(0) + ... + p(k) power-sum terms partial_k starts from: their
+# summed entries were 0.25 to 1.6 times that for n <= 11 and k <= 4.  So a
+# case (n, k) costs 2**n * T(k) units, and the suite the sum over its cases.
+# Whole suites took 33 to 59 us per unit (CLI elapsed, 2 cores, Python
+# 3.11.7): --max-n 8 --max-k 8, 94,996 units in 4.0 s; 10 and 5, 91,980 in
+# 4.1 s; 11 and 4, 106,392 in 4.4 s; 12 and 4, 212,888 in 10.8 s; 14 and 4,
+# 851,864 in 50.1 s.  The guard keeps a suite to about 5 s.
+CLOSED_FORM_WORK_GUARD = 100_000
+
+
+def closed_form_n_guard(max_k):
+    """The largest --max-n whose closed-form suite at ``max_k`` costs at most
+    CLOSED_FORM_WORK_GUARD units (above); 1 if even n = 2 costs more."""
+    terms = start = 0  # T(0) + ... + T(max_k), and T(k)
+    for k in range(max_k + 1):
+        start += sum(1 for _ in symfun.partitions_of(k))
+        terms += start
+    max_n, work = 1, 0
+    while work + 2 ** (max_n + 1) * terms <= CLOSED_FORM_WORK_GUARD:
+        max_n += 1
+        work += 2**max_n * terms
+    return max_n
+
 SUITES = {
     "identities": lambda max_n, max_k: list(check_power_sum_census(max_n))
     + list(check_newton(max(20, max_n)))
@@ -253,10 +279,17 @@ def cmd_compute(args):
 def cmd_verify(args):
     if args.max_n < 0 or args.max_k < 0:
         return _fail_input("--max-n and --max-k must be nonnegative")
-    if args.suite in ("closed-form", "all") and args.max_k > CLOSED_FORM_K_GUARD:
-        return _fail_input(
-            "--max-k %d exceeds the closed-form guard %d" % (args.max_k, CLOSED_FORM_K_GUARD)
-        )
+    if args.suite in ("closed-form", "all"):
+        if args.max_k > CLOSED_FORM_K_GUARD:
+            return _fail_input(
+                "--max-k %d exceeds the closed-form guard %d" % (args.max_k, CLOSED_FORM_K_GUARD)
+            )
+        limit = closed_form_n_guard(args.max_k)
+        if args.max_n > limit:
+            return _fail_input(
+                "--max-n %d exceeds the closed-form guard %d at --max-k %d"
+                % (args.max_n, limit, args.max_k)
+            )
     started = time.perf_counter()
     cases = SUITES[args.suite](args.max_n, args.max_k)
     failures = [case for case in cases if not case[1]]
@@ -339,7 +372,12 @@ def cmd_classify(args):
 def cmd_search(args):
     """Records go to stdout, or to a temporary file beside --out that
     replaces it only once the sweep has finished, so a rejected or failed
-    sweep leaves an existing --out as it was."""
+    sweep leaves an existing --out as it was.
+
+    Each record is its crossings' texts joined, then its verdict's text:
+    every crossing of the alphabet is formatted as "[i,j]" once per sweep,
+    and every verdict once (below), so a record only joins and writes
+    strings."""
     if args.count < 1:
         return _fail_input("--count must be at least 1")
     started = time.perf_counter()
@@ -360,6 +398,7 @@ def cmd_search(args):
     # encoded once per verdict; each entry keeps its SymFun alive, so no id
     # is reused while the cache holds it
     tails = {}
+    texts = {c: "[%d,%d]" % c for c in crossing_alphabet(args.strands)}
     try:
         for record in search_general(
             args.strands,
@@ -383,7 +422,7 @@ def cmd_search(args):
                     }
                 cached = tails[id(record.values)] = (record.values, _jsonl(payload)[1:])
             line = '{"crossings":[%s],%s' % (
-                ",".join(["[%d,%d]" % c for c in record.diagram.crossings]),
+                ",".join(map(texts.__getitem__, record.diagram.crossings)),
                 cached[1],
             )
             if not record.positive:

@@ -29,8 +29,8 @@ merged table.  The reduction starts from ``orders.diagram_from_lambda``.
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
 reflection, which keep the multiset of composite cycle types; the first
-member of an orbit registers all of its images, so each later member is
-one lookup.  The first members are walked in order on one stack of coset
+member of an orbit registers each distinct image once, so each later member
+is one lookup.  The first members are walked in order on one stack of coset
 layers (``kernels._next_cosets``), each keeping the layers of the prefix it
 shares with the one before, and each last layer's cycle types are read
 without building its permutations (``kernels._cycle_types_of_cosets``).
@@ -60,6 +60,9 @@ from strandtrace.strands import Crossing, StrandDiagram, _staircase_like, format
 from strandtrace.symfun import Partition, SymFun, _trusted_partition, h, is_h_positive, p, to_basis
 
 COLORING_GUARD = 10**7
+# crossings in all the records of one sweep: 8 x 3 writes 67,452 and 2 x 400
+# 80,200, while 2 x 5000 would write 12,502,500
+RECORD_GUARD = 10**7
 
 
 class WeightedDiagram:
@@ -726,22 +729,19 @@ def _start_pool(workers):
         return None
 
 
-def _orbit_images(crossings, mirror):
-    """The rotations and reversals of a crossing sequence and of its
-    reflection, ``mirror`` mapping each crossing to its reflection: the
-    sequence's whole orbit, at most 4k sequences of k crossings."""
-    mirrored = tuple([mirror[c] for c in crossings])
-    images = []
-    for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1]):
-        images += [seq[r:] + seq[:r] for r in range(len(seq))]
-    return images
-
-
 def _orbit_indices(strands, sequences):
     """Yield (crossings, orbit index) for each sequence, the orbits numbered
-    in the order their first members come.  A first member registers every
-    image of its orbit (_orbit_images), so each later member costs one
-    lookup."""
+    in the order their first members come.
+
+    A first member registers every distinct image of its orbit: the
+    rotations of itself, of its reversal, of its reflection (``mirror``
+    maps each crossing to its reflection) and of that one's reversal.  Each
+    of the four is skipped if an earlier one's rotations already hold it,
+    and its rotations stop at its period, where they come back to it.  So
+    a first member of k crossings registers at most 4k images, each once,
+    and a periodic one far fewer (a run of one crossing, a single image);
+    each later member costs one lookup.
+    """
     top = strands + 1
     mirror = {c: Crossing(top - c.j, top - c.i) for c in crossing_alphabet(strands)}
     orbit_of = {}
@@ -751,7 +751,16 @@ def _orbit_indices(strands, sequences):
         if index is None:
             index = orbits
             orbits += 1
-            orbit_of.update(dict.fromkeys(_orbit_images(crossings, mirror), index))
+            mirrored = tuple([mirror[c] for c in crossings])
+            for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1]):
+                if seq in orbit_of:
+                    continue
+                orbit_of[seq] = index
+                for r in range(1, len(seq)):
+                    image = seq[r:] + seq[:r]
+                    if image == seq:
+                        break
+                    orbit_of[image] = index
         yield crossings, index
 
 
@@ -822,6 +831,28 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
         raise ValueError("mode must be 'exhaustive' or 'random'")
 
 
+def _check_record_guard(strands, max_crossings, mode, count):
+    """Raise before anything is generated when the sweep's records would
+    hold more than RECORD_GUARD crossings in all: count * max_crossings in
+    random mode, else the sum over k of k * |A|**k for the alphabet A.
+    That sum stops at the first length that takes it past the guard, so
+    the number reported is a lower bound."""
+    if mode == "random":
+        total = count * max_crossings
+    else:
+        size = len(crossing_alphabet(strands))
+        total = 0
+        for k in range(1, max_crossings + 1):
+            total += k * size**k
+            if total > RECORD_GUARD:
+                break
+    if total > RECORD_GUARD:
+        raise GuardExceededError(
+            "search with %d strands and up to %d crossings: records of at least %d "
+            "crossings exceed the guard %d" % (strands, max_crossings, total, RECORD_GUARD)
+        )
+
+
 def _plan_sweep(strands, max_crossings, mode, seed, count):
     """The sweep before any evaluation: (generated, firsts, work, rebuilt,
     tables).
@@ -884,23 +915,26 @@ def search_general(strands, max_crossings, mode="exhaustive", seed=0, count=100)
     they generate is evaluated once, on its first generated member, and
     every diagram gets its orbit's is_h_positive verdict (its h expansion,
     sign and witness) as that was built, in generation order; a worker
-    hands it back pickled, with no other encoding.  Before any
-    evaluation, the states the walk of those first members creates are
-    bounded (_plan_sweep) and checked against COLORING_GUARD; no expansion
-    to single permutations is counted, since none is done.  The same bound
-    sizes the worker pool: min(cap, work // _WORK_PER_WORKER) processes,
-    where the cap is STRAND_TRACE_THREADS, else the CPUs the process may
-    run on; below two workers the sweep runs in this process and starts
-    none.  A worker walks contiguous runs of first members, so the first of
-    each run rebuilds its shared prefix, and each worker builds its own
-    joined-cycles tables; fewer workers are started if that extra work
-    (read off the plan) would take the bound past COLORING_GUARD.  Results
-    are independent of the worker count.
+    hands it back pickled, with no other encoding.  Before anything is
+    generated, the crossings the records would hold are checked against
+    RECORD_GUARD (_check_record_guard).  Before any evaluation, the states
+    the walk of those first members creates are bounded (_plan_sweep) and
+    checked against COLORING_GUARD; no expansion to single permutations is
+    counted, since none is done.  The same bound sizes the worker pool:
+    min(cap, work // _WORK_PER_WORKER) processes, where the cap is
+    STRAND_TRACE_THREADS, else the CPUs the process may run on; below two
+    workers the sweep runs in this process and starts none.  A worker
+    walks contiguous runs of first members, so the first of each run
+    rebuilds its shared prefix, and each worker builds its own joined-cycles
+    tables; fewer workers are started if that extra work (read off the
+    plan) would take the bound past COLORING_GUARD.  Results are independent
+    of the worker count.
     """
     if strands < 2:
         raise ValueError("need at least two strands")
     if max_crossings < 1:
         raise ValueError("need at least one crossing")
+    _check_record_guard(strands, max_crossings, mode, count)
     generated, firsts, work, rebuilt, tables = _plan_sweep(
         strands, max_crossings, mode, seed, count
     )

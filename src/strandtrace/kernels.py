@@ -8,10 +8,15 @@ single permutations; ``_cycle_types_of_cosets`` reads every coset's cycle
 types straight from its open paths and builds no permutation, and
 ``cycle_type_census`` runs it on the last cosets.  The positivity sweep
 takes the steps itself, so that orbit representatives with a common
-prefix share its layers.  The restricted permutation census
-and the proper-coloring count are plain brute force, because they serve as
-the oracles: the census still visits every permutation one by one, but
-closes its cycles as it fills positions instead of walking it again.
+prefix share its layers.  A step's plan (its placements, their weight, its
+mask and its new window) depends on the strands and the two windows only,
+so the plans of steps from windows of at most 4 values (at most 4!
+placements each) are kept and reused; wider windows' plans, of up to |W|!
+placements, are built for each step, so the kept table stays small at any
+sweep width.  The restricted permutation census and the proper-coloring
+count are plain brute force, because they serve as the oracles: the
+census still visits every permutation one by one, but closes its cycles
+as it fills positions instead of walking it again.
 ``cycle_type`` is the one walk over a whole permutation, and proves that
 its input is one as it walks.  Callers are responsible for work guards:
 ``layer_bound`` bounds one step's work and cosets, and ``census_work``
@@ -135,7 +140,7 @@ def _last_cosets(n, crossings):
     held; the empty diagram keeps that layer."""
     layer = {tuple(range(1, n + 1)): 1}, ()
     for crossing in crossings:
-        layer = _next_cosets(n, *layer, crossing)
+        layer = _next_cosets(n, *layer, tuple(crossing))
     return layer
 
 
@@ -150,13 +155,18 @@ def _next_cosets(n, cosets, held, crossing):
     has.  The next crossing W' places the values of W outside W' into the
     masked slots in every order (each placement stands for |W & W'|!
     elements), masks W' and merges equal cosets.
+
+    The step's plan (``_plan``) depends on n, W and W' only, not on the
+    cosets, so a plan from a window of at most ``_KEPT_WINDOW`` = 4 values
+    is kept in ``_PLANS`` and every later step with the same key reuses it.
+    Wider windows are left out: their plans hold up to |W|! placements, so
+    keeping them would make the table grow with the sweep's width, while
+    their steps already cost |W|! / |W & W'|! placements per coset.
     """
-    i, j = int(crossing[0]), int(crossing[1])
-    placed = [v for v in held if not i <= v <= j]
-    zeros = [0] * (len(held) - len(placed))
-    fills = list(dict.fromkeys(permutations(placed + zeros)))
-    weight = factorial(len(zeros))
-    mask = [0 if i <= v <= j else v for v in range(n + 1)].__getitem__
+    plan = _PLANS.get((n, held, crossing))
+    if plan is None:
+        plan = _plan(n, held, crossing)
+    fills, weight, mask, window = plan
     layer = {}
     for coset, count in cosets.items():
         gather = _gather(tuple(map(not_, coset)))
@@ -165,7 +175,34 @@ def _next_cosets(n, cosets, held, crossing):
         for fill in fills:
             image = gather(base + fill)
             layer[image] = layer.get(image, 0) + count
-    return layer, tuple(range(i, j + 1))
+    return layer, window
+
+
+# the widest previous window whose plans _PLANS keeps: each has at most
+# 4! = 24 placements, and n strands have at most 4n such windows (the empty
+# one and the intervals of 2 to 4 values) and n * (n - 1) / 2 crossings
+_KEPT_WINDOW = 4
+_PLANS = {}  # (n, held, crossing): _plan's result, for len(held) <= _KEPT_WINDOW
+
+
+def _plan(n, held, crossing):
+    """What the ``_next_cosets`` step for ``crossing`` from the window
+    ``held`` does to every coset: (the distinct placements of W's values
+    outside W' into its masked slots, the |W & W'|! elements each stands
+    for, the mask taking W' to 0 as an index function, the new window).
+    Kept in ``_PLANS`` when W holds at most ``_KEPT_WINDOW`` values."""
+    i, j = int(crossing[0]), int(crossing[1])
+    placed = [v for v in held if not i <= v <= j]
+    zeros = [0] * (len(held) - len(placed))
+    plan = (
+        tuple(dict.fromkeys(permutations(placed + zeros))),
+        factorial(len(zeros)),
+        [0 if i <= v <= j else v for v in range(n + 1)].__getitem__,
+        tuple(range(i, j + 1)),
+    )
+    if len(held) <= _KEPT_WINDOW:
+        _PLANS[n, held, crossing] = plan
+    return plan
 
 
 @lru_cache(maxsize=None)

@@ -233,16 +233,66 @@ def test_identities_suite_stops_at_the_oracle_guard(capsys):
             ["classify", "--lambda", "", "--n", "60"],
             "error: C(60, 4) = 487635 supports of the pattern exceed the brute-force guard 100000\n",
         ),
+        (
+            ["verify", "--suite", "closed-form", "--max-n", "12", "--max-k", "4"],
+            "error: --max-n 12 exceeds the closed-form guard 10 at --max-k 4\n",
+        ),
+        (
+            ["verify", "--suite", "all", "--max-n", "9", "--max-k", "8"],
+            "error: --max-n 9 exceeds the closed-form guard 8 at --max-k 8\n",
+        ),
+        (
+            ["search", "--strands", "2", "--max-crossings", "5000"],
+            "error: search with 2 strands and up to 5000 crossings: records of at least "
+            "10001628 crossings exceed the guard 10000000\n",
+        ),
+        (
+            ["search", "--strands", "4", "--max-crossings", "11", "--mode", "random",
+             "--count", "1000000"],
+            "error: search with 4 strands and up to 11 crossings: records of at least "
+            "11000000 crossings exceed the guard 10000000\n",
+        ),
     ],
-    ids=["closed-form-max-k", "all-max-k", "classify-n"],
+    ids=[
+        "closed-form-max-k", "all-max-k", "classify-n", "closed-form-max-n", "all-max-n",
+        "search-records", "search-random-records",
+    ],
 )
 def test_guards_exit_before_any_case_runs(capsys, argv, message):
     """Unbounded flags meet a guard first: the closed-form cases grow with
-    k, and classify's brute force with C(n, 4)."""
+    k and about like 2**n, classify's brute force with C(n, 4), and a
+    sweep's output with the crossings its records hold."""
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == message
+
+
+def test_closed_form_n_guard_follows_the_suite_work():
+    """The largest --max-n at each --max-k keeps the suite's units, the sum
+    of 2**n * T(k) over its cases with T(k) = p(0) + ... + p(k), within the
+    guard; one more n would pass it."""
+    limits = [cli.closed_form_n_guard(k) for k in range(cli.CLOSED_FORM_K_GUARD + 1)]
+    assert limits == [15, 14, 12, 11, 10, 10, 9, 8, 8]
+    partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    for max_k, max_n in enumerate(limits):
+        terms = sum(sum(partition_counts[: k + 1]) for k in range(max_k + 1))
+        work, more = (sum(2**n for n in range(2, top + 1)) * terms for top in (max_n, max_n + 1))
+        assert work <= cli.CLOSED_FORM_WORK_GUARD < more
+    # the largest suites CI and the acceptance runs ask for stay admitted
+    assert cli.closed_form_n_guard(4) >= 6 and cli.closed_form_n_guard(6) >= 8
+
+
+def test_max_n_guard_spares_suites_without_the_closed_form(capsys, monkeypatch):
+    # 2**2 * 7 units for n = 2 at k = 2 fit, 2**3 * 7 more for n = 3 do not
+    monkeypatch.setattr(cli, "CLOSED_FORM_WORK_GUARD", 50)
+    small = ["--max-n", "3", "--max-k", "2"]
+    code, out, err = run_cli(capsys, ["verify", "--suite", "closed-form", *small])
+    assert code == 2
+    assert err == "error: --max-n 3 exceeds the closed-form guard 2 at --max-k 2\n"
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "trace", *small])
+    assert code == 0
+    assert out.strip().endswith("passed 7/7")
 
 
 def test_max_k_guard_spares_suites_without_k(capsys):
@@ -382,12 +432,20 @@ def test_search_writes_jsonl(capsys, tmp_path):
              "--count", "200"],
             "5dc9a140e7b71a0f056dcf9eb75c65180414e473d80cb57e823d83f5a7a032a9",
         ),
+        (
+            # periodic sequences only, one orbit each
+            ["--strands", "2", "--max-crossings", "60"],
+            "7dacc1ac663a4ec5af6c26e8ee806f344e589b88487297f5533d11956526446e",
+        ),
     ],
 )
 def test_search_records_are_pinned(capsys, tmp_path, argv, digest):
     """These sweeps' bytes as written by cycle-typing every composite of the
-    expanding census and encoding every record whole: the cycle-type census
-    and the once-per-orbit record tail must reproduce them exactly."""
+    expanding census and encoding every record whole, and the 2 x 60 sweep's
+    as written when a first member registered all 4k of its rotations and
+    reversals: the cycle-type census, the once-per-orbit record tail, the
+    once-per-sweep crossing texts and the registration that stops at a
+    period must reproduce them exactly."""
     out_path = tmp_path / "sweep.jsonl"
     code, _, _ = run_cli(capsys, ["search", *argv, "--out", str(out_path)])
     assert code == 0
@@ -488,6 +546,8 @@ def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, mo
         # one crossing each, but reading [1,24] builds the joined-cycles
         # table of 24 paths, charged 24!
         ["search", "--strands", "24", "--max-crossings", "1"],
+        # its records would hold 12,502,500 crossings, over the 10^7 guard
+        ["search", "--strands", "2", "--max-crossings", "5000"],
     ],
 )
 def test_rejected_search_keeps_existing_out(capsys, tmp_path, argv):

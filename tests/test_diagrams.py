@@ -761,6 +761,31 @@ def test_orbit_table_splits_like_the_least_image(strands, max_crossings, options
     assert [index for _, index in indexed] == expected
 
 
+def test_a_periodic_first_member_registers_each_distinct_image_once():
+    """k copies of [1,2] on two strands are their own rotations, reversal
+    and reflection: one distinct image.  Every lookup or registration of a
+    sequence hashes its k crossings, so counting the hashes of a counted
+    [1,2] counts the table's work: a few lookups and one registration, not
+    the 4k rotations and reversals, which would hash 2k**2 of them."""
+    hashes = []
+
+    class Counted(Crossing):
+        __slots__ = ()
+
+        def __hash__(self):
+            hashes.append(1)
+            return tuple.__hash__(self)
+
+    k = 200
+    periodic = (Counted(1, 2),) * k
+    indexed = list(diagrams._orbit_indices(2, [periodic, periodic]))
+    assert [index for _, index in indexed] == [0, 0]
+    # the first member: its lookup, its reflection's crossings, its own
+    # membership test and registration, and its reversal's membership test;
+    # then the second member's lookup
+    assert len(hashes) <= 6 * k
+
+
 @pytest.mark.parametrize(
     "strands,max_crossings,work,orbits,records",
     # 8 x 3 runs under the guard; 7 x 4 and 9 x 3 do not

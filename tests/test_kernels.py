@@ -209,6 +209,56 @@ def test_layer_bound_covers_every_step(diagram):
         previous = (i, j)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sweep_diagrams())
+def test_a_kept_plan_steps_like_a_freshly_built_one(diagram):
+    """The last step of a random diagram, once on an empty plan table and
+    once more: the plan is kept exactly when its previous window holds at
+    most 4 values, it equals a plan built anew, and the step that reads it
+    gives the layer the step that built it gave."""
+    n, crossings = diagram
+    assume(crossings and kernels.census_work(n, crossings, expand=False) <= 50_000)
+    *prefix, crossing = crossings
+    cosets, held = kernels._last_cosets(n, prefix)
+    kept = kernels._PLANS
+    kernels._PLANS = {}
+    try:
+        built = kernels._next_cosets(n, cosets, held, crossing)
+        plans = dict(kernels._PLANS)
+        reused = kernels._next_cosets(n, cosets, held, crossing)
+    finally:
+        kernels._PLANS = kept
+    assert list(plans) == ([(n, held, crossing)] if len(held) <= 4 else [])
+    assert reused == built
+    for fills, weight, mask, window in plans.values():
+        fresh = kernels._plan(n, held, crossing)
+        assert (fills, weight, window) == (fresh[0], fresh[1], fresh[3])
+        assert list(map(mask, range(n + 1))) == list(map(fresh[2], range(n + 1)))
+
+
+def test_sweeps_keep_no_plan_past_the_placement_bound(monkeypatch):
+    """After 6 x 3 and 8 x 2 sweeps every kept plan comes from a window of
+    at most 4 values and has at most 4! placements, while the steps from
+    wider windows were planned and not kept."""
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
+    monkeypatch.setattr(kernels, "_PLANS", {})
+    real = kernels._plan
+    wide = []
+
+    def plan(n, held, crossing):
+        if len(held) > kernels._KEPT_WINDOW:
+            wide.append(held)
+        return real(n, held, crossing)
+
+    monkeypatch.setattr(kernels, "_plan", plan)
+    for strands, max_crossings in ((6, 3), (8, 2)):
+        for _ in diagrams.search_general(strands, max_crossings):
+            pass
+    assert kernels._PLANS and wide
+    for (n, held, crossing), (fills, _, _, _) in kernels._PLANS.items():
+        assert len(held) <= 4 and len(fills) <= factorial(4)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(sweep_diagrams())
 def test_multiset_csf_matches_cycle_typing_every_composite(diagram):
