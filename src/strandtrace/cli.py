@@ -30,7 +30,7 @@ from strandtrace.diagrams import (
     search_general,
     trace_to_symfun,
 )
-from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
+from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError, check_guard
 # unused here, but perfbench/tracing.py patches the name on this module
 from strandtrace.kernels import restricted_census
 from strandtrace.orders import (
@@ -140,10 +140,6 @@ def check_trace_pipeline(max_n):
             yield ("trace lambda=%s n=%d" % (",".join(map(str, shape.lam)) or "-", n), ok, detail)
 
 
-# the closed-form cases grow with k: with --max-n 8 the suite takes 1.8 s
-# at k = 6, 4.2 s at k = 8 and 8.6 s at k = 10 (Python 3.11)
-CLOSED_FORM_K_GUARD = 8
-
 # The closed-form suite spends its time in the brute-force trace of
 # partial_k [1, n] (iterate_trace_partial).  Its tables hold about 2**n times
 # the T(k) = p(0) + ... + p(k) power-sum terms partial_k starts from: their
@@ -158,11 +154,13 @@ CLOSED_FORM_WORK_GUARD = 100_000
 
 def closed_form_n_guard(max_k):
     """The largest --max-n whose closed-form suite at ``max_k`` costs at most
-    CLOSED_FORM_WORK_GUARD units (above); 1 if even n = 2 costs more."""
+    CLOSED_FORM_WORK_GUARD units (above); 1 once even n = 2 costs more."""
     terms = start = 0  # T(0) + ... + T(max_k), and T(k)
     for k in range(max_k + 1):
         start += sum(1 for _ in symfun.partitions_of(k))
         terms += start
+        if 2**2 * terms > CLOSED_FORM_WORK_GUARD:
+            return 1
     max_n, work = 1, 0
     while work + 2 ** (max_n + 1) * terms <= CLOSED_FORM_WORK_GUARD:
         max_n += 1
@@ -280,16 +278,11 @@ def cmd_verify(args):
     if args.max_n < 0 or args.max_k < 0:
         return _fail_input("--max-n and --max-k must be nonnegative")
     if args.suite in ("closed-form", "all"):
-        if args.max_k > CLOSED_FORM_K_GUARD:
-            return _fail_input(
-                "--max-k %d exceeds the closed-form guard %d" % (args.max_k, CLOSED_FORM_K_GUARD)
-            )
-        limit = closed_form_n_guard(args.max_k)
-        if args.max_n > limit:
-            return _fail_input(
-                "--max-n %d exceeds the closed-form guard %d at --max-k %d"
-                % (args.max_n, limit, args.max_k)
-            )
+        check_guard(
+            args.max_n, closed_form_n_guard(args.max_k),
+            "--max-n %(work)d exceeds the closed-form guard %(limit)d at --max-k %(max_k)d",
+            max_k=args.max_k,
+        )
     started = time.perf_counter()
     cases = SUITES[args.suite](args.max_n, args.max_k)
     failures = [case for case in cases if not case[1]]
@@ -376,8 +369,9 @@ def cmd_search(args):
 
     Each record is its crossings' texts joined, then its verdict's text:
     every crossing of the alphabet is formatted as "[i,j]" once per sweep,
-    and every verdict once (below), so a record only joins and writes
-    strings."""
+    when the first record comes, so only a sweep its guards admit builds
+    the alphabet; every verdict is encoded once (below), so a record only
+    joins and writes strings."""
     if args.count < 1:
         return _fail_input("--count must be at least 1")
     started = time.perf_counter()
@@ -398,7 +392,7 @@ def cmd_search(args):
     # encoded once per verdict; each entry keeps its SymFun alive, so no id
     # is reused while the cache holds it
     tails = {}
-    texts = {c: "[%d,%d]" % c for c in crossing_alphabet(args.strands)}
+    texts = None
     try:
         for record in search_general(
             args.strands,
@@ -407,6 +401,8 @@ def cmd_search(args):
             seed=args.seed,
             count=args.count,
         ):
+            if texts is None:
+                texts = {c: "[%d,%d]" % c for c in crossing_alphabet(args.strands)}
             total += 1
             cached = tails.get(id(record.values))
             if cached is None:
@@ -518,12 +514,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceededError as exc:
-        return _fail_input(str(exc))
     except (CertificateError, NonTraceableError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return MATH_FAIL
-    except ValueError as exc:
+    except (GuardExceededError, ValueError) as exc:
         return _fail_input(str(exc))
 
 

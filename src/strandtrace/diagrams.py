@@ -54,7 +54,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from strandtrace import kernels, orders, symfun
-from strandtrace.errors import CertificateError, GuardExceededError, NonTraceableError
+from strandtrace.errors import CertificateError, NonTraceableError, check_guard
 from strandtrace.oracle import cycle_type
 from strandtrace.strands import Crossing, StrandDiagram, _staircase_like, format_diagram
 from strandtrace.symfun import Partition, SymFun, _trusted_partition, h, is_h_positive, p, to_basis
@@ -270,21 +270,15 @@ class PartialCombo(_Combo):
 # ---------------------------------------------------------------------------
 
 
-def _check_coloring_guard(work, what, *args):
-    """Raise when a census work bound exceeds COLORING_GUARD; ``what % args``
-    names the guarded computation."""
-    if work > COLORING_GUARD:
-        raise GuardExceededError(
-            "%s: census work %d exceeds the guard %d" % (what % args, work, COLORING_GUARD)
-        )
-
-
 def _guarded_crossings(diagram, expand=True):
     """The diagram's crossings as int pairs, once the census's own work
     bound (``kernels.census_work``, with or without the final expansion to
     single permutations) has been checked against COLORING_GUARD."""
     crossings = [tuple(c) for c in diagram.crossings]
-    _check_coloring_guard(kernels.census_work(diagram.n, crossings, expand), "%r", diagram)
+    check_guard(
+        kernels.census_work(diagram.n, crossings, expand), COLORING_GUARD,
+        "%(diagram)r: census work %(work)d exceeds the guard %(limit)d", diagram=diagram,
+    )
     return crossings
 
 
@@ -734,8 +728,9 @@ def _orbit_indices(strands, sequences):
     in the order their first members come.
 
     A first member registers every distinct image of its orbit: the
-    rotations of itself, of its reversal, of its reflection (``mirror``
-    maps each crossing to its reflection) and of that one's reversal.  Each
+    rotations of itself, of its reversal, of its reflection (each crossing
+    [i,j] mirrored to the pair (n+1-j, n+1-i), which hashes and compares as
+    that Crossing) and of that one's reversal.  Each
     of the four is skipped if an earlier one's rotations already hold it,
     and its rotations stop at its period, where they come back to it.  So
     a first member of k crossings registers at most 4k images, each once,
@@ -743,7 +738,6 @@ def _orbit_indices(strands, sequences):
     each later member costs one lookup.
     """
     top = strands + 1
-    mirror = {c: Crossing(top - c.j, top - c.i) for c in crossing_alphabet(strands)}
     orbit_of = {}
     orbits = 0
     for crossings in sequences:
@@ -751,7 +745,7 @@ def _orbit_indices(strands, sequences):
         if index is None:
             index = orbits
             orbits += 1
-            mirrored = tuple([mirror[c] for c in crossings])
+            mirrored = tuple([(top - j, top - i) for i, j in crossings])
             for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1]):
                 if seq in orbit_of:
                     continue
@@ -810,19 +804,26 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
     """Crossing sequences for the positivity sweep, in deterministic order.
 
     Exhaustive mode runs over all sequences of 1..max_crossings crossings
-    from the lexicographically sorted alphabet, shorter sequences first.
+    from the lexicographically sorted alphabet, shorter sequences first;
+    the alphabet is built for two or more crossings only, so a sweep that
+    its guard refuses at [1,11] (charged 11!) never builds it.
     Random mode draws `count` sequences from random.Random(seed) (Mersenne
     Twister): a uniform length in 1..max_crossings, then one uniform
     alphabet index per crossing.
     """
-    alphabet = crossing_alphabet(strands)
-    if not alphabet:
-        return
     if mode == "exhaustive":
-        for length in range(1, max_crossings + 1):
+        if max_crossings >= 1:
+            for i in range(1, strands):
+                for j in range(i + 1, strands + 1):
+                    yield (Crossing(i, j),)
+        alphabet = crossing_alphabet(strands)
+        for length in range(2, max_crossings + 1):
             for combo in product(alphabet, repeat=length):
                 yield tuple(combo)
     elif mode == "random":
+        alphabet = crossing_alphabet(strands)
+        if not alphabet:
+            return
         rng = random.Random(seed)
         for _ in range(count):
             length = rng.randrange(1, max_crossings + 1)
@@ -840,17 +841,18 @@ def _check_record_guard(strands, max_crossings, mode, count):
     if mode == "random":
         total = count * max_crossings
     else:
-        size = len(crossing_alphabet(strands))
+        size = strands * (strands - 1) // 2
         total = 0
         for k in range(1, max_crossings + 1):
             total += k * size**k
             if total > RECORD_GUARD:
                 break
-    if total > RECORD_GUARD:
-        raise GuardExceededError(
-            "search with %d strands and up to %d crossings: records of at least %d "
-            "crossings exceed the guard %d" % (strands, max_crossings, total, RECORD_GUARD)
-        )
+    check_guard(
+        total, RECORD_GUARD,
+        "search with %(strands)d strands and up to %(max_crossings)d crossings: records of at "
+        "least %(work)d crossings exceed the guard %(limit)d",
+        strands=strands, max_crossings=max_crossings,
+    )
 
 
 def _plan_sweep(strands, max_crossings, mode, seed, count):
@@ -896,10 +898,11 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
                 work += factorial(width)
             firsts.append(crossings)
             previous = crossings
-            _check_coloring_guard(
-                work,
-                "search with %d strands and up to %d crossings, first %d orbits",
-                strands, max_crossings, len(firsts),
+            check_guard(
+                work, COLORING_GUARD,
+                "search with %(strands)d strands and up to %(max_crossings)d crossings, first "
+                "%(orbits)d orbits: census work %(work)d exceeds the guard %(limit)d",
+                strands=strands, max_crossings=max_crossings, orbits=len(firsts),
             )
         generated.append((crossings, index))
     return generated, firsts, work, rebuilt, tables

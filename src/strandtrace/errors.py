@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and ``check_guard``, the one check every work
+guard makes."""
 
 
 class GuardExceededError(Exception):
@@ -12,3 +13,10 @@ class NonTraceableError(Exception):
 class CertificateError(Exception):
     """A closed-form coefficient that must be a nonnegative multiple of a
     single h is not one, so no h-positivity certificate exists."""
+
+
+def check_guard(work, limit, message, **context):
+    """Raise GuardExceededError if work > limit, its ``message`` formatted
+    only then, with ``context`` plus ``work`` and ``limit``."""
+    if work > limit:
+        raise GuardExceededError(message % dict(context, work=work, limit=limit))

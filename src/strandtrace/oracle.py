@@ -13,7 +13,7 @@ proves that its input is a permutation in the same walk that types it.
 """
 
 from strandtrace import kernels
-from strandtrace.errors import GuardExceededError
+from strandtrace.errors import check_guard
 from strandtrace.symfun import _from_census, _trusted_partition
 
 FACTORIAL_GUARD = 10  # ch_gamma enumerates S_n
@@ -37,10 +37,7 @@ def ch_gamma(shape):
     """Sum of p_{cycletype(sigma)} over all sigma in S_n with
     sigma(k) > lambda_{n+1-k} for every k, each sigma counted once."""
     n = shape.n
-    if n > FACTORIAL_GUARD:
-        raise GuardExceededError(
-            "n=%d exceeds the S_n enumeration guard %d" % (n, FACTORIAL_GUARD)
-        )
+    check_guard(n, FACTORIAL_GUARD, "n=%(work)d exceeds the S_n enumeration guard %(limit)d")
     return _from_census(kernels.restricted_census(n, position_bounds(shape)))
 
 
@@ -48,8 +45,7 @@ def proper_coloring_count(graph, m):
     """Number of proper colorings of the graph with colors {1..m}."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m**graph.n > COLORING_COUNT_GUARD:
-        raise GuardExceededError(
-            "m^n = %d exceeds the coloring guard %d" % (m**graph.n, COLORING_COUNT_GUARD)
-        )
+    check_guard(
+        m**graph.n, COLORING_COUNT_GUARD, "m^n = %(work)d exceeds the coloring guard %(limit)d"
+    )
     return kernels.count_colorings(graph.n, graph.edge_list(), m)

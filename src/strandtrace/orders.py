@@ -22,7 +22,7 @@ pass.
 from itertools import combinations, repeat
 from math import comb
 
-from strandtrace.errors import GuardExceededError
+from strandtrace.errors import check_guard
 from strandtrace.strands import Crossing, StrandDiagram
 from strandtrace.symfun import Partition
 
@@ -197,16 +197,14 @@ def avoids_pattern(order, pattern):
     if any(a < 1 for a in pattern):
         raise ValueError("chain lengths must be positive")
     total = sum(pattern)
-    if total > PATTERN_GUARD:
-        raise GuardExceededError(
-            "pattern size %d exceeds the brute-force guard %d" % (total, PATTERN_GUARD)
-        )
-    supports = comb(order.n, total)
-    if supports > SUPPORT_GUARD:
-        raise GuardExceededError(
-            "C(%d, %d) = %d supports of the pattern exceed the brute-force guard %d"
-            % (order.n, total, supports, SUPPORT_GUARD)
-        )
+    check_guard(
+        total, PATTERN_GUARD, "pattern size %(work)d exceeds the brute-force guard %(limit)d"
+    )
+    check_guard(
+        comb(order.n, total), SUPPORT_GUARD,
+        "C(%(n)d, %(k)d) = %(work)d supports of the pattern exceed the brute-force guard %(limit)d",
+        n=order.n, k=total,
+    )
     elements = range(1, order.n + 1)
     for support in combinations(elements, total):
         if _embeds_chains(order, list(support), pattern, ()):
@@ -304,10 +302,7 @@ def enumerate_shapes(n, which="all"):
     """
     if which not in ("all", "211-avoiding"):
         raise ValueError("unknown filter %r" % (which,))
-    if n > SHAPE_GUARD:
-        raise GuardExceededError(
-            "n=%d exceeds the shape enumeration guard %d" % (n, SHAPE_GUARD)
-        )
+    check_guard(n, SHAPE_GUARD, "n=%(work)d exceeds the shape enumeration guard %(limit)d")
     suffixes = {}
 
     def grow(row, cap):

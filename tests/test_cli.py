@@ -223,11 +223,11 @@ def test_identities_suite_stops_at_the_oracle_guard(capsys):
     [
         (
             ["verify", "--suite", "closed-form", "--max-n", "8", "--max-k", "9"],
-            "error: --max-k 9 exceeds the closed-form guard 8\n",
+            "error: --max-n 8 exceeds the closed-form guard 7 at --max-k 9\n",
         ),
         (
             ["verify", "--suite", "all", "--max-k", "12"],
-            "error: --max-k 12 exceeds the closed-form guard 8\n",
+            "error: --max-n 6 exceeds the closed-form guard 5 at --max-k 12\n",
         ),
         (
             ["classify", "--lambda", "", "--n", "60"],
@@ -252,10 +252,22 @@ def test_identities_suite_stops_at_the_oracle_guard(capsys):
             "error: search with 4 strands and up to 11 crossings: records of at least "
             "11000000 crossings exceed the guard 10000000\n",
         ),
+        (
+            ["search", "--strands", "9", "--max-crossings", "3"],
+            "error: search with 9 strands and up to 3 crossings, first 1229 orbits: "
+            "census work 10043823 exceeds the guard 10000000\n",
+        ),
+        (
+            # [1,11] is the tenth orbit, and its joined-cycles table alone
+            # is charged 11!
+            ["search", "--strands", "11", "--max-crossings", "1"],
+            "error: search with 11 strands and up to 1 crossings, first 10 orbits: "
+            "census work 43954732 exceeds the guard 10000000\n",
+        ),
     ],
     ids=[
         "closed-form-max-k", "all-max-k", "classify-n", "closed-form-max-n", "all-max-n",
-        "search-records", "search-random-records",
+        "search-records", "search-random-records", "search-walk", "search-wide",
     ],
 )
 def test_guards_exit_before_any_case_runs(capsys, argv, message):
@@ -268,17 +280,28 @@ def test_guards_exit_before_any_case_runs(capsys, argv, message):
     assert err == message
 
 
-def test_closed_form_n_guard_follows_the_suite_work():
+def test_closed_form_n_guard_follows_the_suite_work(monkeypatch):
     """The largest --max-n at each --max-k keeps the suite's units, the sum
     of 2**n * T(k) over its cases with T(k) = p(0) + ... + p(k), within the
-    guard; one more n would pass it."""
-    limits = [cli.closed_form_n_guard(k) for k in range(cli.CLOSED_FORM_K_GUARD + 1)]
-    assert limits == [15, 14, 12, 11, 10, 10, 9, 8, 8]
-    partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    guard; one more n would pass it.  From k = 24 on even n = 2 passes it,
+    so every suite with a case is refused, and a larger k costs nothing."""
+    limits = [cli.closed_form_n_guard(k) for k in range(25)]
+    assert limits[:9] == [15, 14, 12, 11, 10, 10, 9, 8, 8]
+    partition_counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+                        385, 490, 627, 792, 1002, 1255, 1575]
     for max_k, max_n in enumerate(limits):
         terms = sum(sum(partition_counts[: k + 1]) for k in range(max_k + 1))
         work, more = (sum(2**n for n in range(2, top + 1)) * terms for top in (max_n, max_n + 1))
         assert work <= cli.CLOSED_FORM_WORK_GUARD < more
+    assert limits[23] == 2 and limits[24] == 1
+    # the partitions of k > 24 are never enumerated
+    counted = []
+    real = cli.symfun.partitions_of
+    monkeypatch.setattr(
+        cli.symfun, "partitions_of", lambda k, *rest: counted.append(k) or real(k, *rest)
+    )
+    assert cli.closed_form_n_guard(10**6) == 1
+    assert max(counted) == 24
     # the largest suites CI and the acceptance runs ask for stay admitted
     assert cli.closed_form_n_guard(4) >= 6 and cli.closed_form_n_guard(6) >= 8
 
@@ -505,6 +528,29 @@ def test_search_guard(capsys):
     code, _, err = run_cli(capsys, ["search", "--strands", "9", "--max-crossings", "3"])
     assert code == 2
     assert "guard" in err
+
+
+def test_wide_sweep_is_refused_before_it_builds_its_alphabet(capsys, monkeypatch):
+    """Past 10 strands an exhaustive sweep meets the guard at [1,11], among
+    its one-crossing sequences, so 2,000 strands are refused without
+    building their 1,999,000 crossings anywhere."""
+    widths = []
+    real = diagrams.crossing_alphabet
+
+    def counted(strands):
+        widths.append(strands)
+        return real(strands)
+
+    monkeypatch.setattr(diagrams, "crossing_alphabet", counted)
+    monkeypatch.setattr(cli, "crossing_alphabet", counted)
+    code, out, err = run_cli(capsys, ["search", "--strands", "2000", "--max-crossings", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: search with 2000 strands and up to 1 crossings, first 10 orbits: "
+        "census work 43954732 exceeds the guard 10000000\n"
+    )
+    assert 2000 not in widths
 
 
 def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, monkeypatch):

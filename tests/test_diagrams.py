@@ -137,6 +137,16 @@ def test_coloring_guard():
         colored_permutations(StrandDiagram(11, [(1, 11)]))
 
 
+def test_coloring_guard_message():
+    """The refusal names the diagram, its census work and the guard:
+    11! fills of [1,11] and one last coset."""
+    with pytest.raises(GuardExceededError) as info:
+        colored_permutations(StrandDiagram(11, [(1, 11)]))
+    assert str(info.value) == (
+        "StrandDiagram(11, [(1, 11)]): census work 39916801 exceeds the guard 10000000"
+    )
+
+
 def test_multiset_guard_leaves_out_the_expansion():
     # 120 last cosets of S_9: 43,545,721 states expanded, 241 + 9! without
     d = StrandDiagram(13, [(1, 5), (5, 13)])

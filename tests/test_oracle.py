@@ -125,6 +125,18 @@ def test_proper_coloring_guard():
         proper_coloring_count(IncompGraph(30, []), 10)
 
 
+def test_oracle_guard_messages():
+    """Each refusal names the work it would do and the guard it passes."""
+    with pytest.raises(GuardExceededError) as info:
+        proper_coloring_count(IncompGraph(30, []), 10)
+    assert str(info.value) == (
+        "m^n = 1000000000000000000000000000000 exceeds the coloring guard 100000000"
+    )
+    with pytest.raises(GuardExceededError) as info:
+        ch_gamma(StaircaseShape(11))
+    assert str(info.value) == "n=11 exceeds the S_n enumeration guard 10"
+
+
 def test_coloring_count_matches_specialization():
     # X_G = omega(ch), so counting proper m-colorings equals evaluating
     # omega(ch) at m ones

@@ -98,6 +98,16 @@ def test_avoids_pattern_guard():
         avoids_pattern(order, (2, 1, 1))
 
 
+def test_pattern_and_shape_guard_messages():
+    """Each refusal names the work it would do and the guard it passes."""
+    with pytest.raises(GuardExceededError) as info:
+        avoids_pattern(poset_from_lambda(StaircaseShape(13)), (13,))
+    assert str(info.value) == "pattern size 13 exceeds the brute-force guard 12"
+    with pytest.raises(GuardExceededError) as info:
+        list(enumerate_shapes(13))
+    assert str(info.value) == "n=13 exceeds the shape enumeration guard 12"
+
+
 # -- corners and the 2+1+1 criterion ----------------------------------------
 
 
