@@ -23,7 +23,6 @@ from math import factorial
 from strandtrace import symfun
 from strandtrace.diagrams import (
     closed_form_single_crossing,
-    crossing_alphabet,
     diagram_csf,
     iterate_trace_partial,
     reduce_to_h,
@@ -44,7 +43,7 @@ from strandtrace.orders import (
     parse_parts,
     poset_from_lambda,
 )
-from strandtrace.oracle import ch_gamma
+from strandtrace.oracle import FACTORIAL_GUARD, ch_gamma, check_factorial_guard
 from strandtrace.strands import StrandDiagram, format_diagram
 from strandtrace.symfun import (
     SymFun,
@@ -154,10 +153,20 @@ CLOSED_FORM_WORK_GUARD = 100_000
 
 def closed_form_n_guard(max_k):
     """The largest --max-n whose closed-form suite at ``max_k`` costs at most
-    CLOSED_FORM_WORK_GUARD units (above); 1 once even n = 2 costs more."""
+    CLOSED_FORM_WORK_GUARD units (above); 1 once even n = 2 costs more.
+    The partition counts come from Euler's pentagonal number recurrence,
+    p(k) = sum over m >= 1 of (-1)**(m + 1) * (p(k - m(3m - 1)/2) +
+    p(k - m(3m + 1)/2)), p of a negative number 0, so none is built."""
+    counts = []  # p(0), p(1), ...
     terms = start = 0  # T(0) + ... + T(max_k), and T(k)
     for k in range(max_k + 1):
-        start += sum(1 for _ in symfun.partitions_of(k))
+        count = 0 if k else 1
+        for m in range(1, k + 1):
+            for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+                if g <= k:
+                    count += (-1) ** (m + 1) * counts[k - g]
+        counts.append(count)
+        start += count
         terms += start
         if 2**2 * terms > CLOSED_FORM_WORK_GUARD:
             return 1
@@ -283,6 +292,10 @@ def cmd_verify(args):
             "--max-n %(work)d exceeds the closed-form guard %(limit)d at --max-k %(max_k)d",
             max_k=args.max_k,
         )
+    if args.suite != "closed-form":
+        # the other suites run the oracle on every n up to --max-n, so the
+        # first n past its guard would stop them: refuse that n before any case
+        check_factorial_guard(min(args.max_n, FACTORIAL_GUARD + 1))
     started = time.perf_counter()
     cases = SUITES[args.suite](args.max_n, args.max_k)
     failures = [case for case in cases if not case[1]]
@@ -362,16 +375,25 @@ def cmd_classify(args):
     return OK
 
 
+class _CrossingTexts(dict):
+    """{crossing: its text "[i,j]"}, each text formatted the first time it
+    is read."""
+
+    def __missing__(self, crossing):
+        text = self[crossing] = "[%d,%d]" % crossing
+        return text
+
+
 def cmd_search(args):
     """Records go to stdout, or to a temporary file beside --out that
     replaces it only once the sweep has finished, so a rejected or failed
     sweep leaves an existing --out as it was.
 
     Each record is its crossings' texts joined, then its verdict's text:
-    every crossing of the alphabet is formatted as "[i,j]" once per sweep,
-    when the first record comes, so only a sweep its guards admit builds
-    the alphabet; every verdict is encoded once (below), so a record only
-    joins and writes strings."""
+    a crossing is formatted as "[i,j]" the first time a record holds it
+    (_CrossingTexts), so no sweep builds or formats the whole alphabet;
+    every verdict is encoded once (below), so a record only joins and
+    writes strings."""
     if args.count < 1:
         return _fail_input("--count must be at least 1")
     started = time.perf_counter()
@@ -392,7 +414,7 @@ def cmd_search(args):
     # encoded once per verdict; each entry keeps its SymFun alive, so no id
     # is reused while the cache holds it
     tails = {}
-    texts = None
+    texts = _CrossingTexts()
     try:
         for record in search_general(
             args.strands,
@@ -401,8 +423,6 @@ def cmd_search(args):
             seed=args.seed,
             count=args.count,
         ):
-            if texts is None:
-                texts = {c: "[%d,%d]" % c for c in crossing_alphabet(args.strands)}
             total += 1
             cached = tails.get(id(record.values))
             if cached is None:

@@ -30,15 +30,13 @@ The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
 reflection, which keep the multiset of composite cycle types; the first
 member of an orbit registers each distinct image once, so each later member
-is one lookup.  The first members are walked in order on one stack of coset
-layers (``kernels._next_cosets``), each keeping the layers of the prefix it
+is one lookup.  The first members are walked in order on one walk of coset
+layers (``kernels.coset_walk``), each keeping the layers of the prefix it
 shares with the one before, and each last layer's cycle types are read
 without building its permutations (``kernels._cycle_types_of_cosets``).
-The guard bounds the states that walk creates (``kernels.layer_bound``
-past each shared prefix, plus one per last coset and |W|! per width of a
-last window W, for its joined-cycles table), and the same walk records
-what a worker pool would build again, so the pool's extra work is read off
-it.  Each orbit's
+The guard bounds the states that walk creates by its one bound
+(``kernels.walk_bound``), which also gives each shared prefix's cost, so
+the work a worker pool would build again is read off it.  Each orbit's
 ``is_h_positive`` verdict is handed to the caller as it was built, pickled
 when it comes from a worker process; the process pool is imported only
 when a sweep starts one.
@@ -49,7 +47,7 @@ import random
 import warnings
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, isqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -271,10 +269,10 @@ class PartialCombo(_Combo):
 
 
 def _guarded_crossings(diagram, expand=True):
-    """The diagram's crossings as int pairs, once the census's own work
+    """The diagram's crossings (int pairs), once the census's own work
     bound (``kernels.census_work``, with or without the final expansion to
     single permutations) has been checked against COLORING_GUARD."""
-    crossings = [tuple(c) for c in diagram.crossings]
+    crossings = diagram.crossings
     check_guard(
         kernels.census_work(diagram.n, crossings, expand), COLORING_GUARD,
         "%(diagram)r: census work %(work)d exceeds the guard %(limit)d", diagram=diagram,
@@ -541,7 +539,7 @@ def _add_h_multiple(out, terms, m, mult):
         out[parts] = out.get(parts, 0) + c * mult
 
 
-def reduce_to_h(shape, require_211=True):
+def reduce_to_h(shape):
     """Reduce the diagram of P(lambda) to an h-basis symmetric function by
     removing one crossing at a time through the closed form.
 
@@ -558,11 +556,8 @@ def reduce_to_h(shape, require_211=True):
     h-positivity.  Each step is logged as a PartialCombo built once from the
     merged table.  Returns the value and the step log.
     """
-    if require_211 and not orders.is_211_avoiding(shape):
-        raise ValueError(
-            "shape %r is not 2+1+1-avoiding (pass require_211=False to try anyway)"
-            % (shape,)
-        )
+    if not orders.is_211_avoiding(shape):
+        raise ValueError("shape %r is not 2+1+1-avoiding" % (shape,))
     start = orders.diagram_from_lambda(shape)
     crossings = start.crossings
     strands = start.n
@@ -629,6 +624,13 @@ def crossing_alphabet(strands):
     return [Crossing(i, j) for i in range(1, strands) for j in range(i + 1, strands + 1)]
 
 
+def _crossing_at(strands, index):
+    """crossing_alphabet(strands)[index]: from the end, rows [i, *] hold 1, 2, ..."""
+    back = strands * (strands - 1) // 2 - 1 - index
+    row = (1 + isqrt(8 * back + 1)) // 2
+    return Crossing(strands - row, strands - back + row * (row - 1) // 2)
+
+
 def _worker_count():
     """STRAND_TRACE_THREADS if set, else the number of CPUs this process may
     run on (its affinity mask, where the platform has one)."""
@@ -643,37 +645,22 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-def _shared_depth(previous, crossings):
-    """The number of leading crossings two sequences share."""
-    depth = 0
-    for a, b in zip(previous, crossings):
-        if a != b:
-            break
-        depth += 1
-    return depth
-
-
 def _walk_verdicts(strands, firsts):
     """Yield the is_h_positive verdict of each sequence of ``firsts``, in
     order, from its multiset coloring sum; a failure names the diagram it
     was evaluating.
 
-    A stack holds the (cosets, held) layer of each crossing of the last
-    sequence walked, on the identity layer of the empty prefix; each
-    sequence keeps the layers of the prefix it shares with the one before it
-    and builds only the rest (``kernels._next_cosets``).  Sequences
-    with the same cycle-type census share one verdict: 4,125 orbits of
-    6 x 4 have 397 distinct coloring sums.
+    The sequences share one walk (``kernels.coset_walk``), each keeping the
+    layers of the prefix it shares with the one before.  Sequences with the
+    same cycle-type census share one verdict: 4,125 orbits of 6 x 4 have
+    397 distinct coloring sums.
     """
-    stack = [({tuple(range(1, strands + 1)): 1}, ())]
-    previous = ()
+    walked = []  # the walk so far, handed back to coset_walk for each sequence
     verdicts = {}  # frozenset of a census's items: its verdict
     for crossings in firsts:
         try:
-            del stack[_shared_depth(previous, crossings) + 1:]
-            for crossing in crossings[len(stack) - 1:]:
-                stack.append(kernels._next_cosets(strands, *stack[-1], crossing))
-            census = kernels._cycle_types_of_cosets(strands, *stack[-1])
+            layer = kernels.coset_walk(strands, crossings, walked)
+            census = kernels._cycle_types_of_cosets(strands, *layer)
             key = frozenset(census.items())
             verdict = verdicts.get(key)
             if verdict is None:
@@ -683,7 +670,6 @@ def _walk_verdicts(strands, firsts):
                 "evaluating %s: %s" % (format_diagram(StrandDiagram(strands, crossings)), exc),
             )
             raise
-        previous = crossings
         yield verdict
 
 
@@ -809,7 +795,8 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
     its guard refuses at [1,11] (charged 11!) never builds it.
     Random mode draws `count` sequences from random.Random(seed) (Mersenne
     Twister): a uniform length in 1..max_crossings, then one uniform
-    alphabet index per crossing.
+    alphabet index per crossing, read as its crossing without building the
+    alphabet (_crossing_at).
     """
     if mode == "exhaustive":
         if max_crossings >= 1:
@@ -821,13 +808,13 @@ def generate_search_diagrams(strands, max_crossings, mode="exhaustive", seed=0, 
             for combo in product(alphabet, repeat=length):
                 yield tuple(combo)
     elif mode == "random":
-        alphabet = crossing_alphabet(strands)
-        if not alphabet:
+        size = strands * (strands - 1) // 2
+        if not size:
             return
         rng = random.Random(seed)
         for _ in range(count):
             length = rng.randrange(1, max_crossings + 1)
-            yield tuple(alphabet[rng.randrange(len(alphabet))] for _ in range(length))
+            yield tuple(_crossing_at(strands, rng.randrange(size)) for _ in range(length))
     else:
         raise ValueError("mode must be 'exhaustive' or 'random'")
 
@@ -861,43 +848,25 @@ def _plan_sweep(strands, max_crossings, mode, seed, count):
 
     ``generated`` holds (crossings, index of its orbit in firsts) for every
     generated sequence, and ``firsts`` the orbits' first members in order.
-    ``work`` bounds the states _walk_verdicts creates for them: the step
-    costs (``kernels.layer_bound``) past the prefix each first member
-    shares with the one before it, plus one per last coset for its walk,
-    plus ``tables``, |W|! for the first last window W of each width, whose
-    joined-cycles table the walk then builds (``kernels.census_work``).
-    A stack of (coset bound, window, summed step costs) per depth, on
-    (1, (1, 0), 0) for the empty prefix, mirrors the walk's, and the sum is
-    checked against COLORING_GUARD as each first member is met.
-    ``rebuilt`` holds each first member's summed step costs of the prefix
-    it shares with the one before it: what a worker starting a run on it
-    builds again (_pool_work).
+    ``work`` bounds the states _walk_verdicts creates for them: the sum of
+    ``kernels.walk_bound`` over the first members on one walk, checked
+    against COLORING_GUARD as each is met.  ``tables`` sums its |W|! terms,
+    and ``rebuilt`` holds each first member's shared prefix cost: what a
+    worker starting a run on it builds again (_pool_work).
     """
     generated = []
     firsts = []
     rebuilt = []
     work = tables = 0
-    stack = [(1, (1, 0), 0)]  # (coset bound, window, summed step costs) per depth
-    previous = ()
-    widths = set()
+    bounded = []  # the bound so far, handed back to walk_bound for each first member
     sequences = generate_search_diagrams(strands, max_crossings, mode, seed, count)
     for crossings, index in _orbit_indices(strands, sequences):
         if index == len(firsts):
-            del stack[_shared_depth(previous, crossings) + 1:]
-            rebuilt.append(stack[-1][2])
-            for crossing in crossings[len(stack) - 1:]:
-                cosets, window, prefix = stack[-1]
-                cost, cosets = kernels.layer_bound(strands, cosets, window, crossing)
-                work += cost
-                stack.append((cosets, crossing, prefix + cost))
-            work += stack[-1][0]
-            width = crossings[-1].size
-            if width not in widths:
-                widths.add(width)
-                tables += factorial(width)
-                work += factorial(width)
+            steps, cosets, table, shared = kernels.walk_bound(strands, crossings, bounded)
+            work += steps + cosets + table
+            tables += table
+            rebuilt.append(shared)
             firsts.append(crossings)
-            previous = crossings
             check_guard(
                 work, COLORING_GUARD,
                 "search with %(strands)d strands and up to %(max_crossings)d crossings, first "

@@ -2,27 +2,22 @@
 
 The coloring census is built one crossing at a time over cosets of the
 last crossing's symmetric group: ``_next_cosets`` is the one step from a
-layer to the next, and ``_last_cosets`` runs it over a diagram from the
-identity layer.  ``colored_census`` expands each of the last cosets to its
-single permutations; ``_cycle_types_of_cosets`` reads every coset's cycle
-types straight from its open paths and builds no permutation, and
-``cycle_type_census`` runs it on the last cosets.  The positivity sweep
-takes the steps itself, so that orbit representatives with a common
-prefix share its layers.  A step's plan (its placements, their weight, its
-mask and its new window) depends on the strands and the two windows only,
-so the plans of steps from windows of at most 4 values (at most 4!
-placements each) are kept and reused; wider windows' plans, of up to |W|!
-placements, are built for each step, so the kept table stays small at any
-sweep width.  The restricted permutation census and the proper-coloring
-count are plain brute force, because they serve as the oracles: the
-census still visits every permutation one by one, but closes its cycles
-as it fills positions instead of walking it again.
+layer to the next, and ``coset_walk`` the one walk of it, from the identity
+layer to a diagram's last layer.  Handed the stack of the sequence walked
+before, the walk keeps the layers of their shared prefix, so the sweep's
+orbit representatives share them; one diagram walks on a fresh stack.
+``colored_census`` expands each last coset to its single permutations;
+``cycle_type_census`` reads their cycle types from their open paths
+(``_cycle_types_of_cosets``).  The plans of steps from windows of at most
+4 values (at most 4! placements each) are kept; wider ones are built for
+each step.  The restricted permutation census and the proper-coloring
+count are plain brute force, because they serve as the oracles.
 ``cycle_type`` is the one walk over a whole permutation, and proves that
 its input is one as it walks.  Callers are responsible for work guards:
-``layer_bound`` bounds one step's work and cosets, and ``census_work``
-sums it, then adds either the final expansion that only ``colored_census``
-does or the reading of the last cosets, whose joined-cycles table grows
-like |W|! with the last window W.
+``walk_bound`` is the one bound of the walk, on a stack that mirrors it,
+and ``census_work`` is that bound for one diagram plus either the final
+expansion that only ``colored_census`` does or the reading of the last
+cosets, whose joined-cycles table grows like |W|! with the last window W.
 """
 
 from functools import lru_cache
@@ -41,12 +36,12 @@ def colored_census(n, crossings):
     coloring picks an arbitrary bijection of every crossing's strands, and
     the composite maps bottom positions to top positions (later crossings
     act after earlier ones).  Returns {image-tuple: multiplicity}, expanding
-    each of the last crossing's cosets (``_last_cosets``) to its |W|! single
+    each of the last crossing's cosets (``coset_walk``) to its |W|! single
     permutations.
     """
     if not crossings:
         return {tuple(range(1, n + 1)): 1}
-    cosets, held = _last_cosets(n, crossings)
+    cosets, held = coset_walk(n, crossings, [])
     fills = list(permutations(held))
     census = {}
     for coset, count in cosets.items():
@@ -63,7 +58,7 @@ def cycle_type_census(n, crossings):
     The same cosets as colored_census, read by ``_cycle_types_of_cosets``:
     no single permutation is built.
     """
-    return _cycle_types_of_cosets(n, *_last_cosets(n, crossings))
+    return _cycle_types_of_cosets(n, *coset_walk(n, crossings, []))
 
 
 def _cycle_types_of_cosets(n, cosets, held):
@@ -133,14 +128,31 @@ def _joined_cycles(paths):
     return out
 
 
-def _last_cosets(n, crossings):
-    """The census over cosets of the last crossing's symmetric group:
-    ({coset: count}, values of the last window).  ``_next_cosets`` for each
-    crossing, from the identity coset of the trivial group, with no values
-    held; the empty diagram keeps that layer."""
-    layer = {tuple(range(1, n + 1)): 1}, ()
-    for crossing in crossings:
-        layer = _next_cosets(n, *layer, tuple(crossing))
+def _shared_depth(previous, crossings):
+    """The number of leading crossings two sequences share."""
+    depth = 0
+    for a, b in zip(previous, crossings):
+        if a != b:
+            break
+        depth += 1
+    return depth
+
+
+def coset_walk(n, crossings, stack):
+    """The last layer ({coset: count}, values of the last window) of the
+    census of ``crossings``, one ``_next_cosets`` step per crossing from the
+    identity layer.  ``stack`` holds the sequence walked before and its
+    layers, the empty prefix's first; the walk keeps those of the shared
+    prefix and leaves its own.  An empty list starts a walk."""
+    if stack:
+        del stack[_shared_depth(stack[0], crossings) + 2:]
+    else:
+        stack += (), ({tuple(range(1, n + 1)): 1}, ())
+    stack[0] = crossings
+    layer = stack[-1]
+    for crossing in crossings[len(stack) - 2:]:
+        layer = _next_cosets(n, *layer, crossing)
+        stack.append(layer)
     return layer
 
 
@@ -233,23 +245,42 @@ def layer_bound(n, cosets, previous, crossing):
     return cost, min(cost, factorial(n) // factorial(j - i + 1))
 
 
+def walk_bound(n, crossings, stack):
+    """(steps, cosets, table, shared) for ``coset_walk`` of ``crossings`` on
+    the same walk: the ``layer_bound`` costs past the prefix it shares with
+    the sequence before, the bound on its last cosets, |W|! the first time
+    the walk meets the width of its last window W (the ``_joined_cycles``
+    tables its reading builds), else 0, and the step costs of that prefix.
+    ``stack`` holds the sequence bounded before, the widths met and (coset
+    bound, window, summed costs) per depth; an empty list starts a walk."""
+    if stack:
+        del stack[_shared_depth(stack[0], crossings) + 3:]
+    else:
+        stack += (), set(), (1, (1, 0), 0)
+    stack[0] = crossings
+    cosets, window, shared = stack[-1]
+    steps = 0
+    for crossing in crossings[len(stack) - 3:]:
+        cost, cosets = layer_bound(n, cosets, window, crossing)
+        steps += cost
+        window = crossing
+        stack.append((cosets, window, shared + steps))
+    width = window[1] - window[0] + 1
+    table = 0 if width in stack[1] else factorial(width)
+    stack[1].add(width)
+    return steps, cosets, table, shared
+
+
 def census_work(n, crossings, expand=True):
-    """Upper bound on the work of a census of a diagram: every step's cost
-    (``layer_bound``), then for a last window W either the |W|! single
+    """Upper bound on the work of a census of a diagram: ``walk_bound`` on
+    a fresh stack, then for its last window W either the |W|! single
     permutations colored_census expands each last coset to (``expand``), or
     one state per last coset plus |W|! for the ``_joined_cycles`` table
-    that reading them builds.  That table is memoized on the path lengths
-    but grows exponentially in |W|: on 11 strands the tables of any one
-    width cost at most 11,551 inner steps all told, while the one table of
-    [1,24] costs about 1.2 * 10**9."""
-    work, cosets, previous = 0, 1, (1, 0)
-    for crossing in crossings:
-        cost, cosets = layer_bound(n, cosets, previous, crossing)
-        work += cost
-        previous = int(crossing[0]), int(crossing[1])
-    lo, hi = previous
-    fills = factorial(hi - lo + 1)
-    return work + (cosets * fills if expand else cosets + fills)
+    reading them builds.  That table grows exponentially in |W|: on 11
+    strands the tables of any one width cost at most 11,551 inner steps all
+    told, while the one table of [1,24] costs about 1.2 * 10**9."""
+    steps, cosets, fills, _ = walk_bound(n, crossings, [])
+    return steps + (cosets * fills if expand else cosets + fills)
 
 
 def restricted_census(n, bounds):

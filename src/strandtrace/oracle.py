@@ -33,11 +33,16 @@ def position_bounds(shape):
     return [shape.part(n + 1 - k) for k in range(1, n + 1)]
 
 
+def check_factorial_guard(n):
+    """Raise GuardExceededError where ch_gamma refuses to enumerate S_n."""
+    check_guard(n, FACTORIAL_GUARD, "n=%(work)d exceeds the S_n enumeration guard %(limit)d")
+
+
 def ch_gamma(shape):
     """Sum of p_{cycletype(sigma)} over all sigma in S_n with
     sigma(k) > lambda_{n+1-k} for every k, each sigma counted once."""
     n = shape.n
-    check_guard(n, FACTORIAL_GUARD, "n=%(work)d exceeds the S_n enumeration guard %(limit)d")
+    check_factorial_guard(n)
     return _from_census(kernels.restricted_census(n, position_bounds(shape)))
 
 

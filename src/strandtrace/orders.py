@@ -117,9 +117,6 @@ class UIOrder:
                 if not self.below[a] <= self.below[b]:
                     raise ValueError("relation is not transitive at %d < %d" % (a, b))
 
-    def precedes(self, a, b):
-        return a in self.below[b]
-
     def comparable(self, a, b):
         return a in self.below[b] or b in self.below[a]
 

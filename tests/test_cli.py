@@ -218,6 +218,21 @@ def test_identities_suite_stops_at_the_oracle_guard(capsys):
     assert err == "error: n=11 exceeds the S_n enumeration guard 10\n"
 
 
+@pytest.mark.parametrize("max_n", [11, 30])
+@pytest.mark.parametrize("suite", ["identities", "trace"])
+def test_oracle_suites_are_refused_before_their_first_case(capsys, monkeypatch, suite, max_n):
+    """Both suites run the oracle on every n up to --max-n, so past its S_n
+    guard they are refused before any case runs, with the message of the
+    first n the oracle refuses."""
+    calls = []
+    monkeypatch.setattr(cli, "ch_gamma", calls.append)
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max-n", str(max_n)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=11 exceeds the S_n enumeration guard 10\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -294,14 +309,14 @@ def test_closed_form_n_guard_follows_the_suite_work(monkeypatch):
         work, more = (sum(2**n for n in range(2, top + 1)) * terms for top in (max_n, max_n + 1))
         assert work <= cli.CLOSED_FORM_WORK_GUARD < more
     assert limits[23] == 2 and limits[24] == 1
-    # the partitions of k > 24 are never enumerated
+    # the partitions are counted, never enumerated
     counted = []
     real = cli.symfun.partitions_of
     monkeypatch.setattr(
         cli.symfun, "partitions_of", lambda k, *rest: counted.append(k) or real(k, *rest)
     )
     assert cli.closed_form_n_guard(10**6) == 1
-    assert max(counted) == 24
+    assert counted == []
     # the largest suites CI and the acceptance runs ask for stay admitted
     assert cli.closed_form_n_guard(4) >= 6 and cli.closed_form_n_guard(6) >= 8
 
@@ -542,7 +557,6 @@ def test_wide_sweep_is_refused_before_it_builds_its_alphabet(capsys, monkeypatch
         return real(strands)
 
     monkeypatch.setattr(diagrams, "crossing_alphabet", counted)
-    monkeypatch.setattr(cli, "crossing_alphabet", counted)
     code, out, err = run_cli(capsys, ["search", "--strands", "2000", "--max-crossings", "1"])
     assert code == 2
     assert out == ""
@@ -551,6 +565,28 @@ def test_wide_sweep_is_refused_before_it_builds_its_alphabet(capsys, monkeypatch
         "census work 43954732 exceeds the guard 10000000\n"
     )
     assert 2000 not in widths
+
+
+def test_wide_random_sweep_is_refused_without_its_alphabet(capsys, monkeypatch):
+    """A random sweep reads each drawn alphabet index as its crossing, so
+    1,500 strands are refused on their one drawn crossing without building
+    or formatting their 1,124,250 crossings."""
+    built = []
+    monkeypatch.setattr(diagrams, "crossing_alphabet", built.append)
+    code, out, err = run_cli(
+        capsys,
+        ["search", "--strands", "1500", "--max-crossings", "1", "--mode", "random", "--count", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: search with 1500 strands and up to 1 crossings, first 1 orbits: census work "
+    )
+    # the drawn crossing's joined-cycles table alone is charged a number of
+    # about 600 digits
+    digest = hashlib.sha256(err.encode()).hexdigest()
+    assert digest == "901a6b04c90a696af43bd04635e61c99b2dc84eee8f98bb50da0b4c9237279aa"
+    assert built == []
 
 
 def test_search_reports_every_member_of_an_h_negative_orbit(capsys, tmp_path, monkeypatch):

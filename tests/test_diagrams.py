@@ -552,8 +552,6 @@ def test_reduce_simple_cases():
 def test_reduce_requires_avoidance_by_default():
     with pytest.raises(ValueError):
         reduce_to_h(StaircaseShape(4, (1,)))
-    with pytest.raises(NonTraceableError):
-        reduce_to_h(StaircaseShape(4, (1,)), require_211=False)
 
 
 def test_reduce_matches_oracle_and_stays_positive():
@@ -931,7 +929,7 @@ def test_plan_records_the_cost_of_each_shared_prefix(strands, max_crossings, mod
     previous = ()
     for crossings, cost in zip(firsts, rebuilt):
         expected, cosets, window = 0, 1, (1, 0)
-        for crossing in crossings[:diagrams._shared_depth(previous, crossings)]:
+        for crossing in crossings[:kernels._shared_depth(previous, crossings)]:
             step, cosets = kernels.layer_bound(strands, cosets, window, crossing)
             expected += step
             window = crossing
@@ -967,6 +965,12 @@ def test_closing_a_search_early_cancels_queued_chunks(monkeypatch):
     records.close()
     # the first run and at most one run in flight per worker; not all 9
     assert len(evaluated) <= 3
+
+
+def test_crossing_at_reads_an_alphabet_index():
+    for strands in range(2, 61):
+        alphabet = diagrams.crossing_alphabet(strands)
+        assert [diagrams._crossing_at(strands, k) for k in range(len(alphabet))] == alphabet
 
 
 def test_generate_search_diagrams_deterministic_order():

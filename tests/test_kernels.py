@@ -182,11 +182,32 @@ def test_cycle_type_census_against_the_expanding_census_on_random_diagrams(diagr
 def test_last_cosets_start_from_the_identity_layer():
     for n in range(2, 6):
         identity = tuple(range(1, n + 1))
-        assert kernels._last_cosets(n, []) == ({identity: 1}, ())
+        assert kernels.coset_walk(n, [], []) == ({identity: 1}, ())
         for i, j in combinations(range(1, n + 1), 2):
             # the one coset of S_W through the identity, W = [i, j]
             coset = tuple(0 if i <= v <= j else v for v in identity)
-            assert kernels._last_cosets(n, [(i, j)]) == ({coset: 1}, tuple(range(i, j + 1)))
+            assert kernels.coset_walk(n, [(i, j)], []) == ({coset: 1}, tuple(range(i, j + 1)))
+
+
+def test_a_shared_walk_steps_like_fresh_ones():
+    """Every sequence of up to 3 crossings on 4 strands, walked in turn on
+    one stack, forward and backward: each reaches the layer a fresh walk
+    reaches, and its bound splits a fresh bound into the shared prefix and
+    the steps past it, charging |W|! for each last-window width once."""
+    n = 4
+    alphabet = list(combinations(range(1, n + 1), 2))
+    sequences = [seq for k in range(4) for seq in product(alphabet, repeat=k)]
+    for order in (sequences, sequences[::-1]):
+        walked, bounded, widths = [], [], set()
+        for crossings in order:
+            assert kernels.coset_walk(n, crossings, walked) == kernels.coset_walk(n, crossings, [])
+            steps, cosets, table, shared = kernels.walk_bound(n, crossings, bounded)
+            fresh_steps, fresh_cosets, _, fresh_shared = kernels.walk_bound(n, crossings, [])
+            assert fresh_shared == 0
+            assert (steps + shared, cosets) == (fresh_steps, fresh_cosets)
+            width = crossings[-1][1] - crossings[-1][0] + 1 if crossings else 0
+            assert table == (0 if width in widths else factorial(width))
+            widths.add(width)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -219,7 +240,7 @@ def test_a_kept_plan_steps_like_a_freshly_built_one(diagram):
     n, crossings = diagram
     assume(crossings and kernels.census_work(n, crossings, expand=False) <= 50_000)
     *prefix, crossing = crossings
-    cosets, held = kernels._last_cosets(n, prefix)
+    cosets, held = kernels.coset_walk(n, prefix, [])
     kept = kernels._PLANS
     kernels._PLANS = {}
     try:
