@@ -13,6 +13,7 @@ equal inputs and seed; timing goes to stderr.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -144,10 +145,11 @@ def check_trace_pipeline(max_n):
 # the T(k) = p(0) + ... + p(k) power-sum terms partial_k starts from: their
 # summed entries were 0.25 to 1.6 times that for n <= 11 and k <= 4.  So a
 # case (n, k) costs 2**n * T(k) units, and the suite the sum over its cases.
-# Whole suites took 33 to 59 us per unit (CLI elapsed, 2 cores, Python
-# 3.11.7): --max-n 8 --max-k 8, 94,996 units in 4.0 s; 10 and 5, 91,980 in
-# 4.1 s; 11 and 4, 106,392 in 4.4 s; 12 and 4, 212,888 in 10.8 s; 14 and 4,
-# 851,864 in 50.1 s.  The guard keeps a suite to about 5 s.
+# Whole suites took 17 to 23 us per unit (the cases that CLI elapsed times,
+# best of 3, 2 cores, Python 3.11.7): --max-n 8 --max-k 8, 94,996 units in
+# 1.6 s; 10 and 5, 91,980 in 1.6 s; 11 and 4, 106,392 in 1.8 s; 12 and 4,
+# 212,888 in 3.9 s; 14 and 4 (one run), 851,864 in 19.3 s.  The guard keeps
+# a suite to about 2 s at --max-k 8 or less, and 3 s at most.
 CLOSED_FORM_WORK_GUARD = 100_000
 
 
@@ -203,6 +205,34 @@ def _fail_input(message):
     return BAD_INPUT
 
 
+@contextlib.contextmanager
+def _replacing(path, option):
+    """The stream to write ``option``'s file through: stdout when ``path``
+    is not given, else a ``.partial`` file beside ``path`` that replaces it
+    once the block completes and is removed if the block raises, so a
+    failed run leaves an existing file as it was.  A path that cannot be
+    written raises ValueError("cannot write OPTION PATH: reason")."""
+    if not path:
+        yield sys.stdout
+        return
+    partial = "%s.%d.partial" % (path, os.getpid())
+    try:
+        out = open(partial, "w")
+    except OSError as exc:
+        raise ValueError("cannot write %s %s: %s" % (option, path, exc.strerror)) from None
+    try:
+        with out:
+            yield out
+    except BaseException:
+        os.remove(partial)
+        raise
+    try:
+        os.replace(partial, path)
+    except OSError as exc:
+        os.remove(partial)
+        raise ValueError("cannot write %s %s: %s" % (option, path, exc.strerror)) from None
+
+
 def cmd_compute(args):
     shape = _parse_shape(args)
     started = time.perf_counter()
@@ -243,11 +273,7 @@ def cmd_compute(args):
     value = oracle_value if oracle_value is not None else to_basis(trace_value, "p")
     value = to_basis(value, args.basis)
     if args.log_steps:
-        try:
-            fh = open(args.log_steps, "w")
-        except OSError as exc:
-            return _fail_input("cannot write --log-steps %s: %s" % (args.log_steps, exc.strerror))
-        with fh:
+        with _replacing(args.log_steps, "--log-steps") as fh:
             for combo in steps:
                 fh.write(_jsonl(combo.to_json_dict()) + "\n")
     elapsed = time.perf_counter() - started
@@ -386,8 +412,8 @@ class _CrossingTexts(dict):
 
 def cmd_search(args):
     """Records go to stdout, or to a temporary file beside --out that
-    replaces it only once the sweep has finished, so a rejected or failed
-    sweep leaves an existing --out as it was.
+    replaces it only once the sweep has finished (_replacing), so a
+    rejected or failed sweep leaves an existing --out as it was.
 
     Each record is its crossings' texts joined, then its verdict's text:
     a crossing is formatted as "[i,j]" the first time a record holds it
@@ -397,14 +423,6 @@ def cmd_search(args):
     if args.count < 1:
         return _fail_input("--count must be at least 1")
     started = time.perf_counter()
-    if args.out:
-        partial = "%s.%d.partial" % (args.out, os.getpid())
-        try:
-            out = open(partial, "w")
-        except OSError as exc:
-            return _fail_input("cannot write --out %s: %s" % (args.out, exc.strerror))
-    else:
-        out = sys.stdout
     total = 0
     negatives = 0
     counterexample = None
@@ -415,7 +433,7 @@ def cmd_search(args):
     # is reused while the cache holds it
     tails = {}
     texts = _CrossingTexts()
-    try:
+    with _replacing(args.out, "--out") as out:
         for record in search_general(
             args.strands,
             args.max_crossings,
@@ -446,18 +464,6 @@ def cmd_search(args):
                 if counterexample is None:
                     counterexample = line
             out.write(line + "\n")
-    except BaseException:
-        if args.out:
-            out.close()
-            os.remove(partial)
-        raise
-    if args.out:
-        out.close()
-        try:
-            os.replace(partial, args.out)
-        except OSError as exc:
-            os.remove(partial)
-            return _fail_input("cannot write --out %s: %s" % (args.out, exc.strerror))
     elapsed = time.perf_counter() - started
     sys.stderr.write("elapsed: %.3fs\n" % elapsed)
     summary = [

@@ -7,14 +7,15 @@ yields a composite permutation, and summing p_{cycletype} over colorings
 gives the diagram's symmetric function.  For staircase-like diagrams the
 same function can be computed strand by strand with a partial trace that
 replaces the last strand by either a power-sum factor or dots (deferred
-cycle length) on a surviving strand of the top crossing.  Every term of a
-trace shares one diagram, so the trace rule works on a flat table
-{(dots per strand, power-sum parts): coefficient} for that diagram; the full
-trace stays on that table until it builds one SymFun at the end, and the
-weighted-diagram and combo traces group their terms by diagram, step each
-group once and regroup the result by dots.  A combo gathers each key's terms
-and merges them with one SymFun constructor, and every coloring sum read as
-a cycle-type census is built by ``symfun._from_census``.
+cycle length) on a surviving strand of the top crossing.  One loop,
+``_trace_step``, strips strands on a flat table {(dots per strand, power-sum
+parts): coefficient} for one diagram, checking the staircase-like class
+once: the full trace hands it one table for every strand, and the combo
+traces one table per diagram for one strand (``trace_combo``) or for the
+strands ``iterate_trace_partial`` strips from partial_k, itself one
+PartialCombo term expanded.  A combo gathers each key's terms and merges
+them with one SymFun constructor, and every coloring sum read as a
+cycle-type census is built by ``symfun._from_census``.
 
 The h-positivity pipeline never expands traces fully: it rewrites
 ``partial_k(D)`` combinations (h_k D + h_{k-1} D^1 + ... + h_0 D^k, dots on
@@ -323,60 +324,48 @@ def _insert_part(parts, m):
     return parts[:k] + (m,) + parts[k:]
 
 
-def _trace_step(n, crossings, table):
-    """The rule of trace_weighted, applied to every term of one diagram.
+def _trace_step(n, crossings, table, steps=1):
+    """The rule of trace_weighted, stripped ``steps`` times from every term
+    of one diagram on n strands.
 
     ``table`` maps (weights, parts), parts weakly decreasing, to a
     coefficient and stands for sum coeff * p_parts * (the diagram with those
-    dots); p_{a+1} enters as the part a+1.  Returns the stripped crossings
-    and the new table.
+    dots); p_{a+1} enters as the part a+1.  The staircase-like class is
+    checked once, since each strip keeps it or raises (below).  Returns the
+    stripped crossings and the new table.
     """
-    if n < 1:
+    if n < steps:
         raise ValueError("cannot trace a zero-strand diagram")
-    if not _staircase_like(crossings):
-        raise NonTraceableError(
-            "diagram %r is not staircase-like" % StrandDiagram(n, crossings)
-        )
-    top = crossings[-1] if crossings else None
-    engaged = ()
-    if top is not None and top.j == n:
-        shrunk = crossings[:-1]
-        if top.j - 1 > top.i:
-            # the rest is still staircase-like: only the crossing below the
-            # shrunk top can now end as high as it
-            if shrunk and shrunk[-1].j >= top.j - 1:
-                raise NonTraceableError(
-                    "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
-                )
-            shrunk = shrunk + (Crossing(top.i, top.j - 1),)
-        crossings = shrunk
-        engaged = range(top.i - 1, n - 1)
-    out = {}
-    for (weights, parts), coeff in table.items():
-        a = weights[-1] + 1
-        rest = weights[:-1]
-        key = (rest, _insert_part(parts, a))
-        out[key] = out.get(key, 0) + coeff
-        for s in engaged:
-            dotted = list(rest)
-            dotted[s] += a
-            key = (tuple(dotted), parts)
+    if steps and not _staircase_like(crossings):
+        raise NonTraceableError("diagram %r is not staircase-like" % StrandDiagram(n, crossings))
+    for n in range(n, n - steps, -1):
+        top = crossings[-1] if crossings else None
+        engaged = ()
+        if top is not None and top.j == n:
+            shrunk = crossings[:-1]
+            if top.j - 1 > top.i:
+                # the rest is still staircase-like: only the crossing below the
+                # shrunk top can now end as high as it
+                if shrunk and shrunk[-1].j >= top.j - 1:
+                    raise NonTraceableError(
+                        "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
+                    )
+                shrunk = shrunk + (Crossing(top.i, top.j - 1),)
+            crossings = shrunk
+            engaged = range(top.i - 1, n - 1)
+        out = {}
+        for (weights, parts), coeff in table.items():
+            a = weights[-1] + 1
+            rest = weights[:-1]
+            key = (rest, _insert_part(parts, a))
             out[key] = out.get(key, 0) + coeff
-    return crossings, out
-
-
-def _traced_terms(diagram, table):
-    """Trace one diagram's table and regroup it as (weighted diagram, SymFun)
-    terms."""
-    crossings, table = _trace_step(diagram.n, diagram.crossings, table)
-    stripped = StrandDiagram(diagram.n - 1, crossings)
-    by_weights = {}
-    for (weights, parts), coeff in table.items():
-        by_weights.setdefault(weights, []).append((parts, coeff))
-    return [
-        (WeightedDiagram(stripped, weights), SymFun("p", terms))
-        for weights, terms in by_weights.items()
-    ]
+            for s in engaged:
+                dotted = list(rest)
+                dotted[s] += a
+                key = (tuple(dotted), parts)
+                out[key] = out.get(key, 0) + coeff
+        table = out
+    return crossings, table
 
 
 def trace_weighted(wd):
@@ -388,36 +377,52 @@ def trace_weighted(wd):
     surviving strand s in {i, ..., n-1} carrying a+1 extra dots.  Raises
     NonTraceableError when stripping would leave the staircase-like class.
     """
-    return DiagramCombo(_traced_terms(wd.diagram, {(wd.weights, ()): 1}))
+    crossings, table = _trace_step(wd.strand_count, wd.diagram.crossings, {(wd.weights, ()): 1})
+    stripped = StrandDiagram._trusted(wd.strand_count - 1, crossings)
+    return DiagramCombo(
+        (WeightedDiagram(stripped, weights), SymFun("p", [(parts, c)]))
+        for (weights, parts), c in table.items()
+    )
 
 
-def trace_combo(combo):
-    """Linear extension of trace_weighted; collapses to a SymFun once every
-    diagram is fully traced."""
+def _trace_combo(combo, steps):
+    """trace_combo for ``steps`` strips: the terms are grouped by diagram,
+    each group is stripped on one flat table, and the results are regrouped
+    once; a SymFun once every diagram is fully traced."""
     tables = {}
-    for wd, coeff in combo.terms():
+    for wd, coeff in combo._table.items():
         if wd.strand_count == 0:
             raise ValueError("combo already fully traced")
         table = tables.setdefault(wd.diagram, {})
         for lam, c in coeff.coefficients().items():
             table[(wd.weights, lam)] = c
-    terms = []
+    grouped = {}
     for diagram, table in tables.items():
-        terms.extend(_traced_terms(diagram, table))
-    result = DiagramCombo(terms)
+        crossings, table = _trace_step(diagram.n, diagram.crossings, table, steps)
+        stripped = StrandDiagram._trusted(diagram.n - steps, crossings)
+        by_weights = {}
+        for (weights, parts), c in table.items():
+            by_weights.setdefault(weights, []).append((parts, c))
+        for weights, items in by_weights.items():
+            grouped.setdefault(WeightedDiagram(stripped, weights), []).extend(items)
+    coeffs = {wd: SymFun("p", items) for wd, items in grouped.items()}
+    result = DiagramCombo._trusted({wd: f for wd, f in coeffs.items() if not f.is_zero()})
     if result.is_scalar():
         return result.to_symfun()
     return result
+
+
+def trace_combo(combo):
+    """Linear extension of trace_weighted; collapses to a SymFun once every
+    diagram is fully traced."""
+    return _trace_combo(combo, 1)
 
 
 def trace_to_symfun(diagram):
     """Full iterated trace of an (unweighted) staircase-like diagram, on one
     flat {(weights, parts): count} table.  Counts only grow and parts stay
     sorted, so the final table is built into a SymFun as it stands."""
-    crossings = diagram.crossings
-    table = {((0,) * diagram.n, ()): 1}
-    for n in range(diagram.n, 0, -1):
-        crossings, table = _trace_step(n, crossings, table)
+    _, table = _trace_step(diagram.n, diagram.crossings, {((0,) * diagram.n, ()): 1}, diagram.n)
     # every strand is gone, so each key is ((), parts) with a distinct parts
     return symfun._trusted(
         "p", {_trusted_partition(parts): coeff for (_, parts), coeff in table.items()}
@@ -426,28 +431,21 @@ def trace_to_symfun(diagram):
 
 def partial_k(diagram, k):
     """The combination h_k D + h_{k-1} D^1 + ... + h_0 D^k with dots on the
-    right-most strand."""
+    right-most strand: PartialCombo's expansion of partial_k(D)."""
     if diagram.n < 1:
         raise ValueError("partial_k needs at least one strand")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    terms = []
-    for j in range(k + 1):
-        w = [0] * diagram.n
-        w[diagram.n - 1] = j
-        terms.append((WeightedDiagram(diagram, w), h(k - j)))
-    return DiagramCombo(terms)
+    return PartialCombo({(diagram, k): 1}).expand()
 
 
 def iterate_trace_partial(diagram, k, steps):
-    """Brute-force trace^steps of partial_k(diagram); the reference against
-    which the closed form is checked."""
-    state = partial_k(diagram, k)
-    for _ in range(steps):
-        if isinstance(state, SymFun):
-            raise ValueError("combo fully traced before the requested step count")
-        state = trace_combo(state)
-    return state
+    """Brute-force trace^steps of partial_k(diagram), stripped on one flat
+    table; the reference against which the closed form is checked."""
+    traced = _trace_combo(partial_k(diagram, k), max(0, min(steps, diagram.n)))
+    if steps > diagram.n:
+        raise ValueError("combo fully traced before the requested step count")
+    return traced
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +692,17 @@ def _probe():
 
 
 def _start_pool(workers):
-    """Bring up a worker pool and prove it can run a task; on failure warn
-    and return None, so that the caller runs serially."""
+    """Bring up a worker pool and prove it can run a task; on failure shut
+    down what was started, warn and return None, so that the caller runs
+    serially."""
+    pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
         pool.submit(_probe).result(timeout=60)
         return pool
     except Exception as exc:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         warnings.warn(
             "could not start %d worker processes (%s: %s); running serially"
             % (workers, type(exc).__name__, exc),

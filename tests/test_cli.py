@@ -137,6 +137,26 @@ def test_compute_step_log(capsys, tmp_path):
     assert first["terms"][0]["diagram"] == {"n": 4, "crossings": [[1, 2], [2, 3], [3, 4]]}
 
 
+def test_failed_step_log_keeps_existing_log(capsys, tmp_path, monkeypatch):
+    lines = []
+    encode = cli._jsonl
+
+    def fail_after_the_first_line(payload):
+        if lines:
+            raise RuntimeError("log writer died")
+        lines.append(encode(payload))
+        return lines[-1]
+
+    monkeypatch.setattr(cli, "_jsonl", fail_after_the_first_line)
+    log = tmp_path / "steps.jsonl"
+    log.write_text("earlier log\n")
+    with pytest.raises(RuntimeError, match="log writer died"):
+        main(["compute", "--lambda", "2,1", "--n", "4", "--log-steps", str(log)])
+    assert len(lines) == 1
+    assert log.read_text() == "earlier log\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["steps.jsonl"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,8 @@
 import hashlib
 import os
+import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, prod
@@ -521,6 +522,67 @@ def test_iterate_trace_partial_examples():
     assert result == 24 * to_basis(h(4), "p")
 
 
+def staircase_diagrams(max_strands):
+    """Every staircase-like diagram on 1..max_strands strands."""
+    for n in range(1, max_strands + 1):
+        for k in range(n):
+            for lefts in combinations(range(1, n), k):
+                for rights in combinations(range(2, n + 1), k):
+                    if all(i < j for i, j in zip(lefts, rights)):
+                        yield StrandDiagram(n, list(zip(lefts, rights)))
+
+
+def traced_one_strand_at_a_time(diagram, k, steps):
+    """The reference for iterate_trace_partial: one trace_combo call per
+    strand, each regrouping the combo it returns."""
+    state = partial_k(diagram, k)
+    for _ in range(steps):
+        if isinstance(state, SymFun):
+            raise ValueError("combo fully traced before the requested step count")
+        state = trace_combo(state)
+    return state
+
+
+def trace_outcome(trace, *args):
+    try:
+        return trace(*args)
+    except (NonTraceableError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_iterated_trace_equals_one_trace_combo_per_strand():
+    cases = raised = 0
+    for d in staircase_diagrams(5):
+        for k in range(4):
+            for steps in range(d.n + 2):
+                expected = trace_outcome(traced_one_strand_at_a_time, d, k, steps)
+                assert trace_outcome(iterate_trace_partial, d, k, steps) == expected
+                cases += 1
+                raised += isinstance(expected, tuple)
+    assert (cases, raised) == (1656, 420)
+
+
+def test_a_strip_that_leaves_the_class_names_the_diagram_it_strips():
+    d = StrandDiagram(5, [(1, 3), (2, 5)])
+    message = re.escape("stripping StrandDiagram(4, [(1, 3), (2, 4)]) leaves the staircase-like class")
+    with pytest.raises(NonTraceableError, match=message):
+        trace_to_symfun(d)
+    with pytest.raises(NonTraceableError, match=message):
+        iterate_trace_partial(d, 1, 3)
+
+
+def test_iterated_trace_past_the_last_strand_is_refused():
+    with pytest.raises(ValueError, match="combo fully traced before the requested step count"):
+        iterate_trace_partial(StrandDiagram(3, [(1, 3)]), 1, 4)
+
+
+def test_zero_steps_of_the_iterated_trace_is_partial_k_on_any_diagram():
+    d = StrandDiagram(4, [(1, 3), (1, 4)])
+    assert not d.is_staircase_like()
+    for k in range(4):
+        assert iterate_trace_partial(d, k, 0) == partial_k(d, k)
+
+
 # -- reduction -------------------------------------------------------------------
 
 
@@ -701,6 +763,29 @@ def test_search_warns_when_the_pool_cannot_start(monkeypatch):
     monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
     with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: no processes\)"):
         fallback = sweep(monkeypatch, 2, 3, 2)
+    assert fallback == sweep(monkeypatch, 1, 3, 2)
+
+
+def test_a_pool_that_fails_its_probe_is_shut_down(monkeypatch):
+    shutdowns = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            if fn is diagrams._probe:
+                future = Future()
+                future.set_exception(OSError("worker died"))
+                return future
+            return super().submit(fn, *args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shutdowns.append((args, kwargs))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(diagrams, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(diagrams, "_WORK_PER_WORKER", 1)
+    with pytest.warns(RuntimeWarning, match=r"2 worker processes \(OSError: worker died\)"):
+        fallback = sweep(monkeypatch, 2, 3, 2)
+    assert shutdowns == [((), {"wait": False, "cancel_futures": True})]
     assert fallback == sweep(monkeypatch, 1, 3, 2)
 
 
