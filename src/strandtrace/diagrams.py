@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 from strandtrace import kernels, orders, symfun
 from strandtrace.errors import CertificateError, NonTraceableError, check_guard
+# unused here, but perfbench/tracing.py patches cycle_type on diagrams by name
 from strandtrace.oracle import cycle_type
 from strandtrace.strands import Crossing, StrandDiagram, _staircase_like, format_diagram
 from strandtrace.symfun import Partition, SymFun, _trusted_partition, h, is_h_positive, p, to_basis
@@ -291,24 +292,20 @@ def colored_permutations(diagram):
 def diagram_csf(diagram, mode="distinct"):
     """Sum of p_{cycletype} over colorings, in the power-sum basis.
 
-    mode="distinct" counts each composite permutation once, cycle-typing
-    every composite of the census, and is guarded by the census's work
-    bound with its expansion to single permutations.  mode="multiset"
-    counts each composite with its coloring multiplicity, read from the
-    last cosets' open paths (``kernels.cycle_type_census``); it builds no
-    single permutation, so its guard leaves the expansion out and counts
-    the joined-cycles table of the last window instead.
+    mode="multiset" counts each composite with its coloring multiplicity,
+    and mode="distinct" counts each composite permutation once.  Both are
+    read from the last cosets of the one coset walk through their open paths
+    (``kernels.cycle_type_census``), the distinct sum with every last coset
+    counted once.  Neither builds a single permutation, so both are guarded
+    by the walk's work bound without the expansion, with the joined-cycles
+    table of the last window counted instead.
     """
     if mode not in ("distinct", "multiset"):
         raise ValueError("mode must be 'distinct' or 'multiset'")
-    if mode == "multiset":
-        crossings = _guarded_crossings(diagram, expand=False)
-        return symfun._from_census(kernels.cycle_type_census(diagram.n, crossings))
-    table = {}
-    for images in colored_permutations(diagram):
-        lam = cycle_type(images)
-        table[lam] = table.get(lam, 0) + 1
-    return symfun._trusted("p", table)
+    crossings = _guarded_crossings(diagram, expand=False)
+    return symfun._from_census(
+        kernels.cycle_type_census(diagram.n, crossings, mode == "distinct")
+    )
 
 
 # ---------------------------------------------------------------------------

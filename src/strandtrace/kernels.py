@@ -6,18 +6,20 @@ layer to the next, and ``coset_walk`` the one walk of it, from the identity
 layer to a diagram's last layer.  Handed the stack of the sequence walked
 before, the walk keeps the layers of their shared prefix, so the sweep's
 orbit representatives share them; one diagram walks on a fresh stack.
-``colored_census`` expands each last coset to its single permutations;
-``cycle_type_census`` reads their cycle types from their open paths
-(``_cycle_types_of_cosets``).  The plans of steps from windows of at most
-4 values (at most 4! placements each) are kept; wider ones are built for
-each step.  The restricted permutation census and the proper-coloring
-count are plain brute force, because they serve as the oracles.
-``cycle_type`` is the one walk over a whole permutation, and proves that
-its input is one as it walks.  Callers are responsible for work guards:
-``walk_bound`` is the one bound of the walk, on a stack that mirrors it,
-and ``census_work`` is that bound for one diagram plus either the final
-expansion that only ``colored_census`` does or the reading of the last
-cosets, whose joined-cycles table grows like |W|! with the last window W.
+``colored_census`` expands each last coset to its single permutations,
+for ``diagrams.colored_permutations`` only; ``cycle_type_census`` reads
+their cycle types from their open paths (``_cycle_types_of_cosets``),
+each last coset with its count or, for the distinct composites, once.
+The plans of steps from windows of at most 4 values (at most 4!
+placements each) are kept; wider ones are built for each step.  The
+restricted permutation census and the proper-coloring count are plain
+brute force, because they serve as the oracles.  ``cycle_type`` is the one
+walk over a whole permutation, and proves that its input is one as it
+walks.  Callers are responsible for work guards: ``walk_bound`` is the one
+bound of the walk, on a stack that mirrors it, and ``census_work`` is that
+bound for one diagram plus either the final expansion that only
+``colored_census`` does or the reading of the last cosets, whose
+joined-cycles table grows like |W|! with the last window W.
 """
 
 from functools import lru_cache
@@ -51,14 +53,20 @@ def colored_census(n, crossings):
     return census
 
 
-def cycle_type_census(n, crossings):
+def cycle_type_census(n, crossings, distinct=False):
     """Cycle-type census of the colorings of a diagram: {descending cycle
-    type: number of colorings whose composite has it}.
+    type: number of colorings whose composite has it}, or with ``distinct``
+    the number of distinct composites that have it.
 
     The same cosets as colored_census, read by ``_cycle_types_of_cosets``:
-    no single permutation is built.
+    no single permutation is built.  Every count of the walk is a product
+    of positive counts, so the cosets it keeps hold exactly the distinct
+    composites, and with ``distinct`` each is given the count 1.
     """
-    return _cycle_types_of_cosets(n, *coset_walk(n, crossings, []))
+    cosets, held = coset_walk(n, crossings, [])
+    if distinct:
+        cosets = dict.fromkeys(cosets, 1)
+    return _cycle_types_of_cosets(n, cosets, held)
 
 
 def _cycle_types_of_cosets(n, cosets, held):

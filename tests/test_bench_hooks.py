@@ -37,8 +37,12 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
         tracing.install(tracer, MODULES)
         assert diagrams.reduce_to_h is not before[1]["reduce_to_h"]
         steps = len(diagrams.reduce_to_h(StaircaseShape(4, (2, 1))).steps)
-        composites = len(diagrams.colored_permutations(StrandDiagram(3, [(1, 2), (2, 3)])))
+        composites = diagrams.colored_permutations(StrandDiagram(3, [(1, 2), (2, 3)]))
+        typed = tracer.counts["oracle.cycle_type.calls"]
         diagrams.diagram_csf(StrandDiagram(3, [(1, 2), (2, 3)]))
+        csf_typed = tracer.counts["oracle.cycle_type.calls"] - typed
+        for images in composites:
+            diagrams.cycle_type(images)
     finally:
         tracer.restore()
     after = attributes()
@@ -47,8 +51,11 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
         assert all(new[name] is value for name, value in old.items())
     assert tracer.counts["diagrams.reduce_to_h.steps"] == steps
     assert tracer.counts["diagrams.closed_form.calls"] > 0
-    assert tracer.counts["oracle.cycle_type.calls"] == composites
-    assert tracer.counts["diagrams.distinct_composites"] == 2 * composites
+    # only colored_permutations expands the census, and the distinct sum
+    # cycle-types no single permutation
+    assert tracer.counts["diagrams.distinct_composites"] == len(composites)
+    assert csf_typed == 0
+    assert tracer.counts["oracle.cycle_type.calls"] == len(composites)
 
 
 def test_tracer_wraps_the_shape_generator(monkeypatch):

@@ -149,11 +149,14 @@ def test_coloring_guard_message():
 
 
 def test_multiset_guard_leaves_out_the_expansion():
-    # 120 last cosets of S_9: 43,545,721 states expanded, 241 + 9! without
+    # 120 last cosets of S_9: 43,545,721 states expanded, 241 + 9! without;
+    # only colored_permutations expands, and both sums read the cosets
     d = StrandDiagram(13, [(1, 5), (5, 13)])
-    with pytest.raises(GuardExceededError):
-        diagram_csf(d, "distinct")
+    with pytest.raises(GuardExceededError, match="census work 43545721 exceeds"):
+        colored_permutations(d)
     assert sum(diagram_csf(d, "multiset").coefficients().values()) == factorial(5) * factorial(9)
+    # the windows share one strand, so the 5! * 9! colorings are distinct composites
+    assert sum(diagram_csf(d, "distinct").coefficients().values()) == factorial(5) * factorial(9)
 
 
 def test_multiset_guard_counts_the_joined_cycles_table():
@@ -251,6 +254,43 @@ def test_multiplicity_free_for_211_avoiding():
         for shape in enumerate_shapes(n, "211-avoiding"):
             census = colored_permutations(diagram_from_lambda(shape))
             assert all(count == 1 for count in census.values()), shape
+
+
+def distinct_csf_reference(d):
+    """The distinct coloring sum by expansion: every composite of the
+    expanded census cycle-typed, each counted once."""
+    table = {}
+    for images in kernels.colored_census(d.n, d.crossings):
+        lam = kernels.cycle_type(images)
+        table[lam] = table.get(lam, 0) + 1
+    return SymFun("p", table)
+
+
+def test_distinct_csf_matches_the_expansion_on_every_shape():
+    for n in range(1, 8):
+        for shape in enumerate_shapes(n):
+            diagram = diagram_from_lambda(shape)
+            assert diagram_csf(diagram, "distinct") == distinct_csf_reference(diagram), shape
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(random_diagrams())
+def test_distinct_csf_matches_the_expansion(d):
+    """Repeated, nested and overlapping crossings, where composites can
+    have different multiplicities."""
+    assert diagram_csf(d, "distinct") == distinct_csf_reference(d)
+
+
+def test_staircase_composites_share_one_multiplicity():
+    """Every composite of a staircase diagram has the same coloring
+    multiplicity, so the composites times it are all the colorings."""
+    for n in range(1, 8):
+        for shape in enumerate_shapes(n):
+            diagram = diagram_from_lambda(shape)
+            census = kernels.colored_census(diagram.n, diagram.crossings)
+            (multiplicity,) = set(census.values())
+            colorings = prod(factorial(c.size) for c in diagram.crossings)
+            assert len(census) * multiplicity == colorings, shape
 
 
 # -- the trace ---------------------------------------------------------------
