@@ -145,11 +145,11 @@ def check_trace_pipeline(max_n):
 # the T(k) = p(0) + ... + p(k) power-sum terms partial_k starts from: their
 # summed entries were 0.25 to 1.6 times that for n <= 11 and k <= 4.  So a
 # case (n, k) costs 2**n * T(k) units, and the suite the sum over its cases.
-# Whole suites took 17 to 23 us per unit (the cases that CLI elapsed times,
-# best of 3, 2 cores, Python 3.11.7): --max-n 8 --max-k 8, 94,996 units in
-# 1.6 s; 10 and 5, 91,980 in 1.6 s; 11 and 4, 106,392 in 1.8 s; 12 and 4,
-# 212,888 in 3.9 s; 14 and 4 (one run), 851,864 in 19.3 s.  The guard keeps
-# a suite to about 2 s at --max-k 8 or less, and 3 s at most.
+# Whole suites took 11 to 14 us per unit (their cases timed in-process, best
+# of 3, 2 cores, Python 3.11.7): --max-n 8 --max-k 8, 94,996 units in
+# 1.15 s; 10 and 5, 91,980 in 1.06 s; 11 and 4, 106,392 in 1.19 s; 12 and 4,
+# 212,888 in 2.45 s; 14 and 4 (one run), 851,864 in 12.0 s.  The guard keeps
+# a suite to about 1.3 s at --max-k 8 or less, and 1.5 s at most.
 CLOSED_FORM_WORK_GUARD = 100_000
 
 

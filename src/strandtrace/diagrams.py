@@ -10,12 +10,14 @@ replaces the last strand by either a power-sum factor or dots (deferred
 cycle length) on a surviving strand of the top crossing.  One loop,
 ``_trace_step``, strips strands on a flat table {(dots per strand, power-sum
 parts): coefficient} for one diagram, checking the staircase-like class
-once: the full trace hands it one table for every strand, and the combo
-traces one table per diagram for one strand (``trace_combo``) or for the
-strands ``iterate_trace_partial`` strips from partial_k, itself one
-PartialCombo term expanded.  A combo gathers each key's terms and merges
-them with one SymFun constructor, and every coloring sum read as a
-cycle-type census is built by ``symfun._from_census``.
+once, with each key packed into one int of digits (dots per strand, then
+the number of parts of each size) until it unpacks the table at the end.
+The full trace hands it one table for every strand, and the combo traces
+one table per diagram for one strand (``trace_combo``) or for the strands
+``iterate_trace_partial`` strips from partial_k, itself one PartialCombo
+term expanded.  A combo gathers each key's terms and merges them with one
+SymFun constructor, and every coloring sum read as a cycle-type census is
+built by ``symfun._from_census``.
 
 The h-positivity pipeline never expands traces fully: it rewrites
 ``partial_k(D)`` combinations (h_k D + h_{k-1} D^1 + ... + h_0 D^k, dots on
@@ -330,39 +332,68 @@ def _trace_step(n, crossings, table, steps=1):
     dots); p_{a+1} enters as the part a+1.  The staircase-like class is
     checked once, since each strip keeps it or raises (below).  Returns the
     stripped crossings and the new table.
+
+    Between packing the table on entry and unpacking it on exit, each key
+    is one int of ``width``-bit digits: strand s's dots (1-based) in digit
+    s - 1, and the number of parts equal to m in digit n + m.  A term's
+    mass, the sum of dots + 1 over its strands plus the sum of its parts,
+    is what a strip moves: the a = dots + 1 of the last strand becomes a
+    part a or a dots on another strand.  So every digit stays at most the
+    largest mass of the input, and ``width`` is that mass's bit length.
     """
     if n < steps:
         raise ValueError("cannot trace a zero-strand diagram")
     if steps and not _staircase_like(crossings):
         raise NonTraceableError("diagram %r is not staircase-like" % StrandDiagram(n, crossings))
-    for n in range(n, n - steps, -1):
+    mass = max((n + sum(weights) + sum(parts) for weights, parts in table), default=0)
+    width = mass.bit_length()
+    # part[a] adds one part a to a packed key
+    part = [1 << (width * (n + a)) for a in range(mass + 1)]
+    packed = {}
+    for (weights, parts), coeff in table.items():
+        key = 0
+        for s, dots in enumerate(weights):
+            if dots:
+                key += dots << (width * s)
+        for a in parts:
+            key += part[a]
+        packed[key] = coeff
+    table = packed
+    mask = (1 << width) - 1
+    for strands in range(n, n - steps, -1):
         top = crossings[-1] if crossings else None
         engaged = ()
-        if top is not None and top.j == n:
+        if top is not None and top.j == strands:
             shrunk = crossings[:-1]
             if top.j - 1 > top.i:
                 # the rest is still staircase-like: only the crossing below the
                 # shrunk top can now end as high as it
                 if shrunk and shrunk[-1].j >= top.j - 1:
                     raise NonTraceableError(
-                        "stripping %r leaves the staircase-like class" % StrandDiagram(n, crossings)
+                        "stripping %r leaves the staircase-like class"
+                        % StrandDiagram(strands, crossings)
                     )
                 shrunk = shrunk + (Crossing(top.i, top.j - 1),)
             crossings = shrunk
-            engaged = range(top.i - 1, n - 1)
+            engaged = [width * s for s in range(top.i - 1, strands - 1)]
+        last = width * (strands - 1)
         out = {}
-        for (weights, parts), coeff in table.items():
-            a = weights[-1] + 1
-            rest = weights[:-1]
-            key = (rest, _insert_part(parts, a))
-            out[key] = out.get(key, 0) + coeff
-            for s in engaged:
-                dotted = list(rest)
-                dotted[s] += a
-                key = (tuple(dotted), parts)
-                out[key] = out.get(key, 0) + coeff
+        for key, coeff in table.items():
+            dots = key >> last & mask
+            key -= dots << last
+            a = dots + 1
+            stripped = key + part[a]
+            out[stripped] = out.get(stripped, 0) + coeff
+            for shift in engaged:
+                dotted = key + (a << shift)
+                out[dotted] = out.get(dotted, 0) + coeff
         table = out
-    return crossings, table
+    shifts = range(0, width * (n - steps), width)
+    unpacked = {}
+    for key, coeff in table.items():
+        weights = tuple([key >> shift & mask for shift in shifts])
+        unpacked[weights, kernels._descending_digits(key >> (width * n), width)] = coeff
+    return crossings, unpacked
 
 
 def trace_weighted(wd):
@@ -505,13 +536,16 @@ def closed_form_single_crossing(n, k, raw=False):
     def add(dots, coeff):
         terms.append((WeightedDiagram(SINGLE_STRAND, (dots,)), coeff))
 
+    # both sums meet h_m for m = n - i = n - l - i in 0..n-2 only
+    h_in_p = [to_basis(h(m), "p") for m in range(n - 1)]
     for j in range(k + 1):
         hk = to_basis(h(k - j), "p")
+        products = [hk * hm for hm in h_in_p]
         for i in range(2, n + 1):
-            add(i + j - 1, scale * (i - 1) * (hk * to_basis(h(n - i), "p")))
+            add(i + j - 1, scale * (i - 1) * products[n - i])
         for i in range(1, n):
             for l in range(1, n - i + 1):
-                add(i - 1, scale * (hk * to_basis(h(n - l - i), "p") * p(l + j)))
+                add(i - 1, scale * (products[n - l - i] * p(l + j)))
     return DiagramCombo(terms)
 
 

@@ -13,13 +13,16 @@ each last coset with its count or, for the distinct composites, once.
 The plans of steps from windows of at most 4 values (at most 4!
 placements each) are kept; wider ones are built for each step.  The
 restricted permutation census and the proper-coloring count are plain
-brute force, because they serve as the oracles.  ``cycle_type`` is the one
-walk over a whole permutation, and proves that its input is one as it
-walks.  Callers are responsible for work guards: ``walk_bound`` is the one
-bound of the walk, on a stack that mirrors it, and ``census_work`` is that
-bound for one diagram plus either the final expansion that only
-``colored_census`` does or the reading of the last cosets, whose
-joined-cycles table grows like |W|! with the last window W.
+brute force, because they serve as the oracles; the census carries each
+permutation's closed cycle lengths as one int with a digit per length,
+which ``_descending_digits`` decodes, as it does the parts of the trace's
+packed keys.  ``cycle_type`` is the one walk over a whole permutation, and
+proves that its input is one as it walks.  Callers are responsible for
+work guards: ``walk_bound`` is the one bound of the walk, on a stack that
+mirrors it, and ``census_work`` is that bound for one diagram plus either
+the final expansion that only ``colored_census`` does or the reading of
+the last cosets, whose joined-cycles table grows like |W|! with the last
+window W.
 """
 
 from functools import lru_cache
@@ -306,8 +309,14 @@ def restricted_census(n, bounds):
     k with its own head closes a cycle of ``size[k]``; filling it with the
     head of t's path joins k's path to it.  The last two positions take the
     two heads left in one of two ways: two cycles, or one cycle of the
-    summed length.  Each sigma's closed lengths are counted in the order
-    they closed and sorted once per distinct order at the end.
+    summed length.
+
+    The closed lengths travel down the recursion as one int: its digit m,
+    ``n.bit_length()`` bits wide, counts the cycles of length m, so a
+    closing cycle adds one int and a sigma's cycle type is its key.  A
+    digit never overflows: no sigma has more than n cycles of one length,
+    and n < 2**width.  Each distinct key is decoded once at the end
+    (``_descending_digits``), with nothing sorted or merged.
     """
     bounds = [max(int(b), 0) for b in bounds]
     if len(bounds) != n:
@@ -325,17 +334,19 @@ def restricted_census(n, bounds):
     b1, b2 = bounds[k1 - 1], bounds[k2 - 1]
     head = list(range(n + 1))
     size = [1] * (n + 1)
-    closed = []
+    width = n.bit_length()
+    # unit[m] adds one cycle of length m to a packed census key
+    unit = [1 << (width * m) for m in range(n + 1)]
     counts = {}
 
-    def descend(idx):
+    def descend(idx, closed):
         if idx == last:
             h1, h2 = head[k1], head[k2]
             if h1 > b1 and h2 > b2:
-                key = (*closed, size[k1], size[k2])
+                key = closed + unit[size[k1]] + unit[size[k2]]
                 counts[key] = counts.get(key, 0) + 1
             if h2 > b1 and h1 > b2:
-                key = (*closed, size[k1] + size[k2])
+                key = closed + unit[size[k1] + size[k2]]
                 counts[key] = counts.get(key, 0) + 1
             return
         k, bound, open_ends = steps[idx]
@@ -345,22 +356,30 @@ def restricted_census(n, bounds):
             if v <= bound:
                 continue
             if t == k:
-                closed.append(s)
-                descend(idx + 1)
-                closed.pop()
+                descend(idx + 1, closed + unit[s])
             else:
                 head[t] = h
                 size[t] += s
-                descend(idx + 1)
+                descend(idx + 1, closed)
                 head[t] = v
                 size[t] -= s
 
-    descend(0)
-    census = {}
-    for lengths, count in counts.items():
-        lam = tuple(sorted(lengths, reverse=True))
-        census[lam] = census.get(lam, 0) + count
-    return census
+    descend(0, 0)
+    return {_descending_digits(key, width): count for key, count in counts.items()}
+
+
+def _descending_digits(packed, width):
+    """The multiset an int packs in ``width``-bit digits, digit m holding
+    how often m occurs, as a weakly decreasing tuple.  Only the nonzero
+    digits are visited, from the highest down; every digit must be below
+    2**width, which the packing callers guarantee."""
+    values = []
+    while packed:
+        m = (packed.bit_length() - 1) // width
+        count = packed >> (width * m)
+        values += (m,) * count
+        packed -= count << (width * m)
+    return tuple(values)
 
 
 def cycle_type(images):

@@ -374,6 +374,89 @@ def test_trace_step_rejects_exactly_the_strips_that_leave_the_class():
     assert seen == 130
 
 
+def trace_step_reference(n, crossings, table, steps):
+    """The strip loop on tuple keys: every term's (weights, parts) is copied
+    and the new part inserted into its sorted parts at each strip."""
+    if n < steps:
+        raise ValueError("cannot trace a zero-strand diagram")
+    if steps and not _staircase_like(crossings):
+        raise NonTraceableError("not staircase-like")
+    for strands in range(n, n - steps, -1):
+        top = crossings[-1] if crossings else None
+        engaged = ()
+        if top is not None and top.j == strands:
+            shrunk = crossings[:-1]
+            if top.j - 1 > top.i:
+                if shrunk and shrunk[-1].j >= top.j - 1:
+                    raise NonTraceableError("leaves the staircase-like class")
+                shrunk = shrunk + (Crossing(top.i, top.j - 1),)
+            crossings = shrunk
+            engaged = range(top.i - 1, strands - 1)
+        out = {}
+        for (weights, parts), coeff in table.items():
+            a = weights[-1] + 1
+            rest = weights[:-1]
+            key = (rest, tuple(sorted(parts + (a,), reverse=True)))
+            out[key] = out.get(key, 0) + coeff
+            for s in engaged:
+                dotted = list(rest)
+                dotted[s] += a
+                key = (tuple(dotted), parts)
+                out[key] = out.get(key, 0) + coeff
+        table = out
+    return crossings, table
+
+
+def strip_outcome(strip, *args):
+    try:
+        return strip(*args)
+    except (NonTraceableError, ValueError) as exc:
+        return type(exc)
+
+
+def test_packed_trace_step_strips_like_the_tuple_loop():
+    """Every staircase-like diagram on at most 6 strands, stripped 0 to n + 1
+    times from each of its weighted terms alone and from all of them on one
+    table: no dots, and on each strand that may carry dots (the top
+    crossing's and those right of it) dots without and with parts.  A term
+    alone sets the digit width from its own mass, so its largest digit meets
+    the width's top value, as n parts 1 of the crossing-free diagram do; the
+    terms' masses run from 1 to 23, every width from 1 to 5 bits."""
+    cases = 0
+    for d in staircase_diagrams(6):
+        n = d.n
+        first = d.crossings[-1].i if d.crossings else 1
+        terms = {((0,) * n, ()): 1}
+        for s in range(first, n + 1):
+            weights = tuple(s + 1 if t == s else 0 for t in range(1, n + 1))
+            terms[weights, ()] = 1
+            terms[weights, tuple(sorted((s, 2, 1, 1), reverse=True))] = s
+        for table in [dict([term]) for term in terms.items()] + [terms]:
+            for steps in range(n + 2):
+                expected = strip_outcome(trace_step_reference, n, d.crossings, table, steps)
+                assert strip_outcome(diagrams._trace_step, n, d.crossings, table, steps) == expected
+                cases += 1
+    assert cases == 12282
+
+
+@pytest.mark.parametrize("mass", [7, 8, 15, 16])
+def test_packed_trace_step_at_the_digit_width_boundaries(mass):
+    """partial_k [1, n] with n + k = mass, the table iterate_trace_partial
+    strips: every term has that mass, whose bit length grows from 7 to 8 and
+    from 15 to 16, and k >= 2 gives it Fraction coefficients (h_k in the p
+    basis)."""
+    for n in range(2, min(mass - 2, 7) + 1):
+        d = StrandDiagram(n, [(1, n)])
+        table = {
+            (wd.weights, lam): c
+            for wd, coeff in partial_k(d, mass - n)._table.items()
+            for lam, c in coeff.coefficients().items()
+        }
+        assert any(isinstance(c, Fraction) for c in table.values())
+        expected = trace_step_reference(n, d.crossings, table, n - 1)
+        assert diagrams._trace_step(n, d.crossings, table, n - 1) == expected
+
+
 def test_trace_combo_worked_example():
     state = DiagramCombo({wd(4, [(1, 2), (2, 3), (3, 4)]): SymFun.one("p")})
     for _ in range(4):

@@ -1,17 +1,18 @@
 """The kernels against brute force written out here: the coset-by-coset
 coloring census against composing every choice of window bijections, the
 cycle-type census against cycle-typing that census, the
-restricted-permutation census against all of S_n, and the proper-coloring
-count against all of [m]^n."""
+restricted-permutation census against all of S_n and its total against the
+Ferrers-board product, and the proper-coloring count against all of
+[m]^n."""
 
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strandtrace import StrandDiagram, diagrams, kernels, symfun
+from strandtrace import StrandDiagram, diagrams, kernels, oracle, orders, symfun
 
 CENSUS_CASES = [
     (1, []),
@@ -326,6 +327,42 @@ def test_python_restricted_against_itertools():
 def test_restricted_census_on_every_bounds_vector_below_n_at_n_5():
     for bounds in product(range(5), repeat=5):
         assert kernels.restricted_census(5, bounds) == restricted_reference(5, bounds), bounds
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_restricted_census_at_the_digit_width_boundaries(n):
+    """The full staircase admits the identity alone, whose n fixed points
+    fill the 1-cycle digit of the packed key to its largest value; the
+    digit width n.bit_length() grows from 7 to 8 and from 15 to 16."""
+    assert kernels.restricted_census(n, list(range(n))) == {(1,) * n: 1}
+
+
+def ferrers_board_count(n, bounds):
+    """Permutations with sigma(k) > bounds[k-1], counted without enumeration:
+    fill the positions from the largest bound down; the idx-th of them has
+    n - B[idx] values above its bound, idx of them taken by the positions
+    before it, whose values all lie above it too."""
+    ranked = sorted((max(b, 0) for b in bounds), reverse=True)
+    factors = [n - b - idx for idx, b in enumerate(ranked)]
+    return 0 if any(f <= 0 for f in factors) else prod(factors)
+
+
+def test_restricted_census_total_is_the_ferrers_board_product():
+    shapes = 0
+    for n in range(1, 9):
+        for shape in orders.enumerate_shapes(n, "all"):
+            bounds = oracle.position_bounds(shape)
+            census = kernels.restricted_census(n, bounds)
+            assert sum(census.values()) == ferrers_board_count(n, bounds), shape
+            shapes += 1
+    # every shape inside the staircase: C_1 + ... + C_8
+    assert shapes == sum(comb(2 * n, n) // (n + 1) for n in range(1, 9))
+    # the product needs no enumeration, so it counts past the oracle's guard
+    assert ferrers_board_count(12, [0] * 12) == factorial(12)
+    assert ferrers_board_count(4, [0, 0, 4, 0]) == 0
+    bounds = [max(k - 2, 0) for k in range(12)]
+    assert ferrers_board_count(12, bounds) == 2 * 3**10
+    assert sum(kernels.restricted_census(12, bounds).values()) == 2 * 3**10
 
 
 def test_cycle_type_against_the_reference_on_every_permutation():
