@@ -32,17 +32,17 @@ merged table.  The reduction starts from ``orders.diagram_from_lambda``.
 The positivity sweep applies the coloring sum to generalized diagrams.  It
 evaluates one crossing sequence per orbit of rotation, reversal and
 reflection, which keep the multiset of composite cycle types; the first
-member of an orbit registers each distinct image once, so each later member
-is one lookup.  The first members are walked in order on one walk of coset
-layers (``kernels.coset_walk``), each keeping the layers of the prefix it
-shares with the one before, and each last layer's cycle types are read
-without building its permutations (``kernels._cycle_types_of_cosets``).
-The guard bounds the states that walk creates by its one bound
-(``kernels.walk_bound``), which also gives each shared prefix's cost, so
-the work a worker pool would build again is read off it.  Each orbit's
-``is_h_positive`` verdict is handed to the caller as it was built, pickled
-when it comes from a worker process; the process pool is imported only
-when a sweep starts one.
+member of an orbit registers each distinct image once (bounded by
+RECORD_GUARD), so each later member is one lookup.  The first members are
+walked in order on one walk of coset layers, each keeping the layers of the
+prefix it shares with the one before, and each last layer's cycle types are
+read without building its permutations (``kernels.cycle_type_census``, the
+one reader of every census).  The guard bounds the states that walk creates
+by its one bound (``kernels.walk_bound``), which also gives each shared
+prefix's cost, so the work a worker pool would build again is read off it.
+Each orbit's ``is_h_positive`` verdict is handed to the caller as it was
+built, pickled when it comes from a worker process; the process pool is
+imported only when a sweep starts one.
 """
 
 import os
@@ -679,17 +679,16 @@ def _walk_verdicts(strands, firsts):
     order, from its multiset coloring sum; a failure names the diagram it
     was evaluating.
 
-    The sequences share one walk (``kernels.coset_walk``), each keeping the
-    layers of the prefix it shares with the one before.  Sequences with the
-    same cycle-type census share one verdict: 4,125 orbits of 6 x 4 have
-    397 distinct coloring sums.
+    The sequences share one walk (``kernels.cycle_type_census`` on one
+    stack), each keeping the layers of the prefix it shares with the one
+    before.  Sequences with the same cycle-type census share one verdict:
+    4,125 orbits of 6 x 4 have 397 distinct coloring sums.
     """
-    walked = []  # the walk so far, handed back to coset_walk for each sequence
+    walked = []  # the walk so far, handed back to cycle_type_census for each sequence
     verdicts = {}  # frozenset of a census's items: its verdict
     for crossings in firsts:
         try:
-            layer = kernels.coset_walk(strands, crossings, walked)
-            census = kernels._cycle_types_of_cosets(strands, *layer)
+            census = kernels.cycle_type_census(strands, crossings, stack=walked)
             key = frozenset(census.items())
             verdict = verdicts.get(key)
             if verdict is None:
@@ -746,19 +745,21 @@ def _orbit_indices(strands, sequences):
     """Yield (crossings, orbit index) for each sequence, the orbits numbered
     in the order their first members come.
 
-    A first member registers every distinct image of its orbit: the
-    rotations of itself, of its reversal, of its reflection (each crossing
-    [i,j] mirrored to the pair (n+1-j, n+1-i), which hashes and compares as
-    that Crossing) and of that one's reversal.  Each
-    of the four is skipped if an earlier one's rotations already hold it,
-    and its rotations stop at its period, where they come back to it.  So
-    a first member of k crossings registers at most 4k images, each once,
-    and a periodic one far fewer (a run of one crossing, a single image);
-    each later member costs one lookup.
+    A first member registers every distinct image of its orbit: the rotations
+    of itself, of its reversal, of its reflection (each crossing [i,j] mirrored
+    to the pair (n+1-j, n+1-i), which hashes and compares as that Crossing) and
+    of that one's reversal.  Each of the four is skipped if an earlier one's
+    rotations already hold it, and its rotations stop at its period, where they
+    come back to it.  So a first member of k crossings registers at most 4k
+    images, each once, and a periodic one far fewer (a run of one crossing, a
+    single image); each later member costs one lookup.  The image that would
+    take the crossings registered past RECORD_GUARD is refused: in exhaustive
+    mode every image is a record (_check_record_guard), but a random draw's
+    images mostly are not.
     """
     top = strands + 1
     orbit_of = {}
-    orbits = 0
+    orbits = registered = 0
     for crossings in sequences:
         index = orbit_of.get(crossings)
         if index is None:
@@ -768,11 +769,17 @@ def _orbit_indices(strands, sequences):
             for seq in (crossings, crossings[::-1], mirrored, mirrored[::-1]):
                 if seq in orbit_of:
                     continue
-                orbit_of[seq] = index
-                for r in range(1, len(seq)):
+                for r in range(len(seq)):
                     image = seq[r:] + seq[:r]
-                    if image == seq:
+                    if r and image == seq:
                         break
+                    registered += len(image)
+                    check_guard(
+                        registered, RECORD_GUARD,
+                        "search with %(strands)d strands, first %(orbits)d orbits: registered "
+                        "orbit images of at least %(work)d crossings exceed the guard %(limit)d",
+                        strands=strands, orbits=orbits,
+                    )
                     orbit_of[image] = index
         yield crossings, index
 

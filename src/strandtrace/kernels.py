@@ -1,28 +1,27 @@
 """Enumeration kernels.
 
-The coloring census is built one crossing at a time over cosets of the
-last crossing's symmetric group: ``_next_cosets`` is the one step from a
-layer to the next, and ``coset_walk`` the one walk of it, from the identity
-layer to a diagram's last layer.  Handed the stack of the sequence walked
-before, the walk keeps the layers of their shared prefix, so the sweep's
-orbit representatives share them; one diagram walks on a fresh stack.
-``colored_census`` expands each last coset to its single permutations,
-for ``diagrams.colored_permutations`` only; ``cycle_type_census`` reads
-their cycle types from their open paths (``_cycle_types_of_cosets``),
-each last coset with its count or, for the distinct composites, once.
-The plans of steps from windows of at most 4 values (at most 4!
-placements each) are kept; wider ones are built for each step.  The
-restricted permutation census and the proper-coloring count are plain
-brute force, because they serve as the oracles; the census carries each
+The coloring census is built one crossing at a time over cosets of the last
+crossing's symmetric group: ``_next_cosets`` is the one step from a layer
+to the next, and ``coset_walk`` the one walk of it, from the identity layer
+to a diagram's last layer.  Handed the stack of the sequence walked before,
+the walk keeps the layers of their shared prefix, so the sweep's orbit
+representatives share them; one diagram walks on a fresh stack.
+``colored_census`` walks one step past the last crossing, to the empty
+window ``EMPTY``, whose cosets are single permutations.
+``cycle_type_census``, the one reader of every census, reads the cycle
+types of the last cosets from their open paths, each with its count or, for
+the distinct composites, once.  The plans of steps from windows of at most
+4 values (at most 4! placements each) are kept, wider ones built anew.  The
+restricted permutation census and the proper-coloring count are plain brute
+force, because they serve as the oracles; the census carries each
 permutation's closed cycle lengths as one int with a digit per length,
 which ``_descending_digits`` decodes, as it does the parts of the trace's
 packed keys.  ``cycle_type`` is the one walk over a whole permutation, and
-proves that its input is one as it walks.  Callers are responsible for
-work guards: ``walk_bound`` is the one bound of the walk, on a stack that
-mirrors it, and ``census_work`` is that bound for one diagram plus either
-the final expansion that only ``colored_census`` does or the reading of
-the last cosets, whose joined-cycles table grows like |W|! with the last
-window W.
+proves that its input is one as it walks.  Callers are responsible for work
+guards: ``walk_bound`` is the one bound of the walk, on a stack that
+mirrors it, and ``census_work`` is that bound for one diagram, of the walk
+to ``EMPTY`` or of the reading of the last cosets, whose joined-cycles
+table grows like |W|! with the last window W.
 """
 
 from functools import lru_cache
@@ -33,6 +32,8 @@ from operator import itemgetter, not_
 # perfbench/run.py reads this and refuses to run on any other value
 BACKEND = "python"
 
+EMPTY = (1, 0)  # the empty window as a crossing (i > j), before the first one
+
 
 def colored_census(n, crossings):
     """Multiset of composite permutations over all colorings of a diagram.
@@ -40,33 +41,26 @@ def colored_census(n, crossings):
     ``crossings`` is a bottom-to-top list of 1-based intervals (i, j); each
     coloring picks an arbitrary bijection of every crossing's strands, and
     the composite maps bottom positions to top positions (later crossings
-    act after earlier ones).  Returns {image-tuple: multiplicity}, expanding
-    each of the last crossing's cosets (``coset_walk``) to its |W|! single
-    permutations.
+    act after earlier ones).  Returns {image-tuple: multiplicity}: the
+    last layer of ``coset_walk`` one step past the last crossing, to
+    ``EMPTY``, whose cosets of the trivial group are single permutations.
     """
-    if not crossings:
+    if not crossings:  # the walk would gather n = 1 through itemgetter(0), a scalar
         return {tuple(range(1, n + 1)): 1}
-    cosets, held = coset_walk(n, crossings, [])
-    fills = list(permutations(held))
-    census = {}
-    for coset, count in cosets.items():
-        gather = _gather(tuple(map(not_, coset)))
-        for fill in fills:
-            census[gather(coset + fill)] = count
-    return census
+    return coset_walk(n, (*crossings, EMPTY), [])[0]
 
 
-def cycle_type_census(n, crossings, distinct=False):
+def cycle_type_census(n, crossings, distinct=False, stack=None):
     """Cycle-type census of the colorings of a diagram: {descending cycle
     type: number of colorings whose composite has it}, or with ``distinct``
     the number of distinct composites that have it.
 
-    The same cosets as colored_census, read by ``_cycle_types_of_cosets``:
-    no single permutation is built.  Every count of the walk is a product
-    of positive counts, so the cosets it keeps hold exactly the distinct
-    composites, and with ``distinct`` each is given the count 1.
+    The last cosets of ``coset_walk`` on ``stack`` (else a fresh one), read
+    by ``_cycle_types_of_cosets``: no single permutation is built.  Every
+    count of the walk is a product of positive counts, so its cosets hold
+    exactly the distinct composites; with ``distinct`` each counts 1.
     """
-    cosets, held = coset_walk(n, crossings, [])
+    cosets, held = coset_walk(n, crossings, [] if stack is None else stack)
     if distinct:
         cosets = dict.fromkeys(cosets, 1)
     return _cycle_types_of_cosets(n, cosets, held)
@@ -179,17 +173,13 @@ def _next_cosets(n, cosets, held, crossing):
     masked slots in every order (each placement stands for |W & W'|!
     elements), masks W' and merges equal cosets.
 
-    The step's plan (``_plan``) depends on n, W and W' only, not on the
-    cosets, so a plan from a window of at most ``_KEPT_WINDOW`` = 4 values
-    is kept in ``_PLANS`` and every later step with the same key reuses it.
+    The step's plan (``_plan``) depends on n, W and W' only; one from a
+    window of at most ``_KEPT_WINDOW`` = 4 values is kept in ``_PLANS``.
     Wider windows are left out: their plans hold up to |W|! placements, so
     keeping them would make the table grow with the sweep's width, while
     their steps already cost |W|! / |W & W'|! placements per coset.
     """
-    plan = _PLANS.get((n, held, crossing))
-    if plan is None:
-        plan = _plan(n, held, crossing)
-    fills, weight, mask, window = plan
+    fills, weight, mask, window = _PLANS.get((n, held, crossing)) or _plan(n, held, crossing)
     layer = {}
     for coset, count in cosets.items():
         gather = _gather(tuple(map(not_, coset)))
@@ -203,7 +193,7 @@ def _next_cosets(n, cosets, held, crossing):
 
 # the widest previous window whose plans _PLANS keeps: each has at most
 # 4! = 24 placements, and n strands have at most 4n such windows (the empty
-# one and the intervals of 2 to 4 values) and n * (n - 1) / 2 crossings
+# one and the intervals of 2 to 4 values) and n * (n - 1) / 2 + 1 crossings
 _KEPT_WINDOW = 4
 _PLANS = {}  # (n, held, crossing): _plan's result, for len(held) <= _KEPT_WINDOW
 
@@ -212,7 +202,8 @@ def _plan(n, held, crossing):
     """What the ``_next_cosets`` step for ``crossing`` from the window
     ``held`` does to every coset: (the distinct placements of W's values
     outside W' into its masked slots, the |W & W'|! elements each stands
-    for, the mask taking W' to 0 as an index function, the new window).
+    for, the mask taking W' to 0 as an index function, the new window);
+    to ``EMPTY`` every held value is placed, 0! = 1 and nothing is masked.
     Kept in ``_PLANS`` when W holds at most ``_KEPT_WINDOW`` values."""
     i, j = int(crossing[0]), int(crossing[1])
     placed = [v for v in held if not i <= v <= j]
@@ -242,7 +233,7 @@ def _gather(slots):
 
 def layer_bound(n, cosets, previous, crossing):
     """(cost, coset bound) of the ``_next_cosets`` step for ``crossing``
-    from at most ``cosets`` cosets of the window ``previous``, (1, 0)
+    from at most ``cosets`` cosets of the window ``previous``, ``EMPTY``
     before the first crossing.
 
     A step costs its cosets times its placements, |W|! / |W & W'|! for the
@@ -267,7 +258,7 @@ def walk_bound(n, crossings, stack):
     if stack:
         del stack[_shared_depth(stack[0], crossings) + 3:]
     else:
-        stack += (), set(), (1, (1, 0), 0)
+        stack += (), set(), (1, EMPTY, 0)
     stack[0] = crossings
     cosets, window, shared = stack[-1]
     steps = 0
@@ -283,15 +274,17 @@ def walk_bound(n, crossings, stack):
 
 
 def census_work(n, crossings, expand=True):
-    """Upper bound on the work of a census of a diagram: ``walk_bound`` on
-    a fresh stack, then for its last window W either the |W|! single
-    permutations colored_census expands each last coset to (``expand``), or
-    one state per last coset plus |W|! for the ``_joined_cycles`` table
-    reading them builds.  That table grows exponentially in |W|: on 11
-    strands the tables of any one width cost at most 11,551 inner steps all
-    told, while the one table of [1,24] costs about 1.2 * 10**9."""
-    steps, cosets, fills, _ = walk_bound(n, crossings, [])
-    return steps + (cosets * fills if expand else cosets + fills)
+    """Upper bound on the work of a census of a diagram by ``walk_bound``:
+    with ``expand``, the steps of colored_census's walk (to ``EMPTY``, |W|!
+    per last coset for the last window W), else the steps to the last
+    crossing, one state per last coset and |W|! for the ``_joined_cycles``
+    table reading them builds.  That table grows exponentially in |W|: on
+    11 strands the tables of any one width cost at most 11,551 inner steps
+    all told, while the one table of [1,24] costs about 1.2 * 10**9."""
+    if expand:
+        return walk_bound(n, (*crossings, EMPTY), [])[0]
+    steps, cosets, table, _ = walk_bound(n, crossings, [])
+    return steps + cosets + table
 
 
 def restricted_census(n, bounds):

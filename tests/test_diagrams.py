@@ -1002,6 +1002,35 @@ def test_a_periodic_first_member_registers_each_distinct_image_once():
     assert len(hashes) <= 6 * k
 
 
+def test_random_registration_is_bounded_by_the_record_guard(monkeypatch):
+    """One random draw of 99 crossings on 3 strands passes a record guard of
+    1,000 (count x max-crossings is 200), but its orbit images hold up to
+    4 x 99 x 99 crossings: the 11th image, which would take the registered
+    crossings to 1,089, is refused before any evaluation."""
+    monkeypatch.setattr(diagrams, "RECORD_GUARD", 1000)
+    assert len(next(generate_search_diagrams(3, 200, "random", 0, 1))) == 99
+    message = (
+        "search with 3 strands, first 1 orbits: registered orbit images of at least 1089 "
+        "crossings exceed the guard 1000"
+    )
+    with pytest.raises(GuardExceededError) as refused:
+        list(search_general(3, 200, "random", 0, 1))
+    assert str(refused.value) == message
+
+
+def test_exhaustive_registration_fits_the_record_guard_exactly(monkeypatch):
+    """4 x 3 writes 6 + 2 * 36 + 3 * 216 = 726 crossings and registers each
+    of its records as an image once: at a record guard of exactly 726 the
+    sweep yields all 258 records, while registering the same sequences
+    under 725 is refused at its last image."""
+    monkeypatch.setenv("STRAND_TRACE_THREADS", "1")
+    monkeypatch.setattr(diagrams, "RECORD_GUARD", 726)
+    assert len(list(search_general(4, 3))) == 258
+    monkeypatch.setattr(diagrams, "RECORD_GUARD", 725)
+    with pytest.raises(GuardExceededError, match="images of at least 726 crossings exceed"):
+        list(diagrams._orbit_indices(4, generate_search_diagrams(4, 3)))
+
+
 @pytest.mark.parametrize(
     "strands,max_crossings,work,orbits,records",
     # 8 x 3 runs under the guard; 7 x 4 and 9 x 3 do not

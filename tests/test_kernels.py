@@ -105,6 +105,9 @@ def coloring_reference(n, edges, m):
 
 
 def test_python_census_hand_values():
+    # no crossing: the identity alone, also where it has no slot or one
+    assert kernels.colored_census(0, []) == {(): 1}
+    assert kernels.colored_census(1, []) == {(1,): 1}
     assert kernels.colored_census(3, []) == {(1, 2, 3): 1}
     assert kernels.colored_census(2, [(1, 2)]) == {(1, 2): 1, (2, 1): 1}
     two = kernels.colored_census(2, [(1, 2), (1, 2)])
@@ -123,6 +126,29 @@ def test_census_against_product_exhaustively_on_small_diagrams():
             assert kernels.colored_census(4, list(crossings)) == census_reference(
                 4, crossings
             ), crossings
+
+
+def test_colored_census_is_the_walk_one_step_past_its_crossings(monkeypatch):
+    """colored_census makes one _next_cosets step per crossing and one
+    more, to the empty window, whose cosets are single permutations."""
+    real = kernels._next_cosets
+    steps = []
+
+    def step(n, cosets, held, crossing):
+        layer = real(n, cosets, held, crossing)
+        steps.append((crossing, layer[1]))
+        return layer
+
+    monkeypatch.setattr(kernels, "_next_cosets", step)
+    for n, crossings in CENSUS_CASES:
+        steps.clear()
+        census = kernels.colored_census(n, crossings)
+        if crossings:
+            windows = [tuple(range(i, j + 1)) for i, j in crossings]
+            assert steps == [*zip(crossings, windows), (kernels.EMPTY, ())]
+        else:
+            assert steps == []
+        assert census == census_reference(n, crossings)
 
 
 @st.composite
@@ -202,6 +228,9 @@ def test_a_shared_walk_steps_like_fresh_ones():
         walked, bounded, widths = [], [], set()
         for crossings in order:
             assert kernels.coset_walk(n, crossings, walked) == kernels.coset_walk(n, crossings, [])
+            assert kernels.cycle_type_census(n, crossings, stack=walked) == (
+                kernels.cycle_type_census(n, crossings)
+            )
             steps, cosets, table, shared = kernels.walk_bound(n, crossings, bounded)
             fresh_steps, fresh_cosets, _, fresh_shared = kernels.walk_bound(n, crossings, [])
             assert fresh_shared == 0
@@ -292,6 +321,19 @@ def test_multiset_csf_matches_cycle_typing_every_composite(diagram):
         lam = diagrams.cycle_type(images)
         table[lam] = table.get(lam, 0) + count
     assert diagrams.diagram_csf(d, "multiset") == symfun.SymFun("p", table)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(sweep_diagrams())
+def test_census_work_is_the_bound_of_the_walk_to_the_empty_window(diagram):
+    """With the expansion, census_work is walk_bound's step cost for the
+    walk one step past the last crossing, to the empty window, whose step
+    costs |W|! per last coset of the last window W."""
+    n, crossings = diagram
+    work = kernels.census_work(n, crossings)
+    assert work == kernels.walk_bound(n, (*crossings, kernels.EMPTY), [])[0]
+    steps, cosets, table, _ = kernels.walk_bound(n, crossings, [])
+    assert work == steps + cosets * table
 
 
 def test_census_work_bounds_the_census():
