@@ -13,15 +13,15 @@ types of the last cosets from their open paths, each with its count or, for
 the distinct composites, once.  The plans of steps from windows of at most
 4 values (at most 4! placements each) are kept, wider ones built anew.  The
 restricted permutation census and the proper-coloring count are plain brute
-force, because they serve as the oracles; the census carries each
-permutation's closed cycle lengths as one int with a digit per length,
-which ``_descending_digits`` decodes, as it does the parts of the trace's
-packed keys.  ``cycle_type`` is the one walk over a whole permutation, and
-proves that its input is one as it walks.  Callers are responsible for work
-guards: ``walk_bound`` is the one bound of the walk, on a stack that
-mirrors it, and ``census_work`` is that bound for one diagram, of the walk
-to ``EMPTY`` or of the reading of the last cosets, whose joined-cycles
-table grows like |W|! with the last window W.
+force, because they serve as the oracles.  Both cycle-type censuses count
+lengths in one int, a digit per length, which ``_descending_digits``
+decodes once per distinct key, as it does the trace's packed keys.
+``cycle_type`` is the one walk over a whole permutation, and proves that
+its input is one as it walks.  Callers are responsible for work guards:
+``walk_bound`` is the one bound of the walk, on a stack that mirrors it,
+and ``census_work`` is that bound for one diagram, of the walk to ``EMPTY``
+or of the reading of the last cosets, whose joined-cycles table grows like
+|W|! with the last window W.
 """
 
 from functools import lru_cache
@@ -77,58 +77,58 @@ def _cycle_types_of_cosets(n, cosets, held):
     gives one cycle whose length is the sum of its paths' lengths.  So a
     coset's distribution depends only on its sorted path lengths
     (``_joined_cycles``), and cosets with the same paths and the same
-    avoiding cycles are merged before it is applied.
+    avoiding cycles (one int, whose n.bit_length()-bit digit m counts the
+    cycles of length m) are merged before it is applied.
     """
+    width = n.bit_length()
     shapes = {}
     for coset, count in cosets.items():
         seen = [False] * (n + 1)
         paths = []
         for v in held:
-            size = 1
-            seen[v] = True
-            v = coset[v - 1]
+            size = 0
             while v:
                 seen[v] = True
                 size += 1
                 v = coset[v - 1]
             paths.append(size)
-        cycles = []
-        for start in range(1, n + 1):
-            if not seen[start]:
+        cycles = 0
+        for v in range(1, n + 1):
+            if not seen[v]:
                 size = 0
-                v = start
                 while not seen[v]:
                     seen[v] = True
                     size += 1
                     v = coset[v - 1]
-                cycles.append(size)
+                cycles += 1 << (width * size)
         paths.sort()
-        key = (tuple(paths), tuple(cycles))
+        key = (tuple(paths), cycles)
         shapes[key] = shapes.get(key, 0) + count
     census = {}
     for (paths, cycles), count in shapes.items():
-        for joined, ways in _joined_cycles(paths).items():
-            lam = tuple(sorted(joined + cycles, reverse=True))
-            census[lam] = census.get(lam, 0) + count * ways
-    return census
+        for joined, ways in _joined_cycles(paths, width).items():
+            key = cycles + joined
+            census[key] = census.get(key, 0) + count * ways
+    return {_descending_digits(key, width): count for key, count in census.items()}
 
 
 @lru_cache(maxsize=None)
-def _joined_cycles(paths):
-    """{sorted cycle lengths: number of tau in S_k} over the ways tau joins k
-    open paths of the given lengths (a sorted tuple) into cycles.  The cycle
-    through the first path takes any s of the others in one of s! orders."""
+def _joined_cycles(paths, width):
+    """{packed cycle lengths: number of tau in S_k} over the ways tau joins
+    k open paths of sorted lengths into cycles: the first path's cycle takes
+    any s others in one of s! orders.  Digit m (``width`` bits) counts the
+    cycles of length m, and paths summing to n < 2**width never overflow."""
     if not paths:
-        return {(): 1}
+        return {0: 1}
     first, rest = paths[0], paths[1:]
     out = {}
     for s in range(len(rest) + 1):
         ways = factorial(s)
         for chosen in combinations(range(len(rest)), s):
-            length = first + sum(rest[k] for k in chosen)
+            cycle = 1 << (width * (first + sum(rest[k] for k in chosen)))
             left = tuple(rest[k] for k in range(len(rest)) if k not in chosen)
-            for joined, count in _joined_cycles(left).items():
-                key = tuple(sorted(joined + (length,)))
+            for joined, count in _joined_cycles(left, width).items():
+                key = joined + cycle
                 out[key] = out.get(key, 0) + ways * count
     return out
 
@@ -362,10 +362,10 @@ def restricted_census(n, bounds):
 
 
 def _descending_digits(packed, width):
-    """The multiset an int packs in ``width``-bit digits, digit m holding
-    how often m occurs, as a weakly decreasing tuple.  Only the nonzero
-    digits are visited, from the highest down; every digit must be below
-    2**width, which the packing callers guarantee."""
+    """The multiset an int packs in ``width``-bit digits (digit m counts m)
+    as a weakly decreasing tuple, from the highest nonzero digit down.  Its
+    packers, the restricted census, the coset reader and the trace, keep
+    every digit below 2**width."""
     values = []
     while packed:
         m = (packed.bit_length() - 1) // width

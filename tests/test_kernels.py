@@ -1,11 +1,12 @@
 """The kernels against brute force written out here: the coset-by-coset
 coloring census against composing every choice of window bijections, the
-cycle-type census against cycle-typing that census, the
+cycle-type census against cycle-typing that census, the joined-cycles table
+against every way of joining its paths, the
 restricted-permutation census against all of S_n and its total against the
 Ferrers-board product, and the proper-coloring count against all of
 [m]^n."""
 
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -35,6 +36,12 @@ CENSUS_CASES = [
     (5, [(2, 5), (1, 4), (2, 4)]),
     (6, [(1, 5), (2, 6), (3, 4)]),
     (6, [(2, 5), (1, 6), (3, 5), (1, 3)]),
+    # the digit width n.bit_length() of the packed cycle-length keys grows
+    # to 4 bits at n = 8 and to 5 at n = 16, where the identity's n fixed
+    # points first fill the 1-cycle digit past the narrower width
+    (8, []),
+    (8, [(1, 2), (7, 8)]),
+    (16, [(1, 3), (14, 16)]),
 ]
 
 RESTRICTED_CASES = [
@@ -166,12 +173,13 @@ def test_census_against_product_on_random_diagrams(diagram):
     assert kernels.colored_census(n, crossings) == census_reference(n, crossings)
 
 
-def cycle_types_of_census(n, crossings):
-    """The expanding route: cycle-type every composite of colored_census."""
+def cycle_types_of_census(n, crossings, distinct=False):
+    """The expanding route: cycle-type every composite of colored_census,
+    with its count or, with ``distinct``, once."""
     counts = {}
     for images, count in kernels.colored_census(n, crossings).items():
         lam = kernels.cycle_type(images)
-        counts[lam] = counts.get(lam, 0) + count
+        counts[lam] = counts.get(lam, 0) + (1 if distinct else count)
     return counts
 
 
@@ -187,6 +195,36 @@ def test_cycle_type_census_hand_values():
 @pytest.mark.parametrize("n,crossings", CENSUS_CASES)
 def test_cycle_type_census_against_the_expanding_census(n, crossings):
     assert kernels.cycle_type_census(n, crossings) == cycle_types_of_census(n, crossings)
+    assert kernels.cycle_type_census(n, crossings, distinct=True) == (
+        cycle_types_of_census(n, crossings, distinct=True)
+    )
+
+
+def test_joined_cycles_against_every_tau():
+    """Every sorted tuple of at most 5 path lengths in 1..3: each tau in
+    S_k joins the paths of each of its cycles into one cycle, whose length
+    is their sum.  The packed table, decoded, counts exactly those cycle
+    types, and its counts sum to k!."""
+    for k in range(6):
+        for paths in combinations_with_replacement(range(1, 4), k):
+            width = sum(paths).bit_length()
+            expected = {}
+            for tau in permutations(range(k)):
+                left, lengths = set(range(k)), []
+                while left:
+                    a, length = min(left), 0
+                    while a in left:
+                        left.remove(a)
+                        length += paths[a]
+                        a = tau[a]
+                    lengths.append(length)
+                lam = tuple(sorted(lengths, reverse=True))
+                expected[lam] = expected.get(lam, 0) + 1
+            table = kernels._joined_cycles(paths, width)
+            assert all(type(key) is int for key in table), paths
+            assert sum(table.values()) == factorial(k), paths
+            decoded = {kernels._descending_digits(key, width): c for key, c in table.items()}
+            assert decoded == expected, paths
 
 
 @st.composite
